@@ -14,10 +14,8 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .config import default_tolerances
@@ -56,6 +54,8 @@ def _schema(name: str) -> dict:
 
 
 def _validate_document(doc, schema_name: str) -> None:
+    import jsonschema  # only documents read from outside need it
+
     validator = jsonschema.Draft7Validator(_schema(schema_name))
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -367,6 +367,14 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
+def _axis_count(spec) -> int:
+    if isinstance(spec, (int, float)):
+        return 1
+    if isinstance(spec, list):
+        return len(spec)
+    return spec["count"]
+
+
 def _axis_values(spec) -> list[float]:
     if isinstance(spec, (int, float)):
         return [float(spec)]
@@ -384,10 +392,24 @@ _SCAN_COLUMNS = {
 }
 
 
-def _grid_points(doc: dict) -> tuple[str, tuple[str, ...], list[tuple[float, ...]]]:
+def _grid_points(
+    doc: dict, cap: int
+) -> tuple[str, tuple[str, ...], list[tuple[float, ...]]]:
+    """Validate a grid document and list its points, refusing more than `cap`.
+
+    The count is taken from the document before any point is built, so an
+    oversized grid fails fast instead of exhausting memory.
+    """
     _validate_document(doc, "scan_grid.schema.json")
-    if doc["mode"] == "line":
-        frm, to, count = doc["from"], doc["to"], doc["count"]
+    mode = doc["mode"]
+    if mode == "line":
+        count = doc["count"]
+    else:
+        count = math.prod(_axis_count(doc["axes"][n]) for n in _SCAN_COLUMNS[mode])
+    if count > cap:
+        raise InvalidStateError(f"grid has {count} points, above the cap of {cap}")
+    if mode == "line":
+        frm, to = doc["from"], doc["to"]
         pts = [
             tuple(
                 frm[k] + (to[k] - frm[k]) * i / (count - 1) for k in range(len(frm))
@@ -395,7 +417,6 @@ def _grid_points(doc: dict) -> tuple[str, tuple[str, ...], list[tuple[float, ...
             for i in range(count)
         ]
         return "theorem3_example", _SCAN_COLUMNS["theorem3_example"], pts
-    mode = doc["mode"]
     names = _SCAN_COLUMNS[mode]
     axes = [_axis_values(doc["axes"][n]) for n in names]
     return mode, names, [tuple(p) for p in itertools.product(*axes)]
@@ -432,12 +453,10 @@ def cmd_scan(args) -> int:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidStateError(f"grid document is not valid JSON: {exc}")
-    mode, names, points = _grid_points(doc)
-    if len(points) > args.cap:
-        raise InvalidStateError(
-            f"grid has {len(points)} points, above the cap of {args.cap}"
-        )
+    mode, names, points = _grid_points(doc, args.cap)
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(lambda pt: _scan_row(mode, pt), points))
     else:

@@ -18,16 +18,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, NotInFamilyError
 from .qmath import DensityMatrix, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
-from .states import XStateParams, from_density_matrix, x_state
+from .states import (
+    _X_PATTERN,
+    XStateParams,
+    from_density_matrix,
+    to_density_matrix,
+    x_state,
+)
 
 _WEIGHT_FLOOR = 1e-12
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Loading scipy.optimize costs more than the rest of a cold `import xree`,
+    so only code that runs the oracle pays for it. `oracle_ree` looks this name up as a
+    module global, so wrapping `xree.oracle.minimize` sees every call.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -341,7 +358,6 @@ def oracle_ree(
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
-_X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 
 
 def structure_fingerprint(sigma: DensityMatrix) -> tuple[float, float]:
@@ -375,8 +391,6 @@ def oracle_validate(
     sparsity pattern and how large its transverse Bloch components are.
     """
     tol = tol or default_tolerances()
-    from .states import to_density_matrix
-
     rho = to_density_matrix(p, tol)
     result = oracle_ree(rho, cfg, closed=closed, tol=tol)
     off, bloch = structure_fingerprint(result.sigma)

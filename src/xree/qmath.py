@@ -67,6 +67,10 @@ class EigenSystem:
     vectors: np.ndarray
 
 
+# Above this |tau|, tau * tau would overflow a double (about 1.3e154).
+_TAU_MAX = 1e150
+
+
 def _jacobi_rotation(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     """Zero out a[p, q] (and its mirror) with a complex plane rotation."""
     apq = a[p, q]
@@ -74,8 +78,11 @@ def _jacobi_rotation(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
     if b == 0.0:
         return
     phase = apq / b
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-    if tau >= 0.0:
+    # Python floats: a quotient past the double range becomes inf silently
+    tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(b))
+    if abs(tau) > _TAU_MAX:
+        t = 0.5 / tau  # the formula below, where 1 + tau * tau still fits
+    elif tau >= 0.0:
         t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
     else:
         t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))

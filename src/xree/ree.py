@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
-from .qmath import binary_entropy, min_eig_pt, relative_entropy
+from .qmath import _xlnx, binary_entropy, min_eig_pt, relative_entropy
 from .states import XStateParams, is_entangled, to_density_matrix, x_state
 
 BRANCH_SEPARABLE = "separable"
@@ -184,10 +184,6 @@ def css_residuals(
     res_d = r3 + 2.0 * x * h * (0.5 + u * g) - p.a3
     res_e = y + x * yfrac * (0.5 * s + u * u * g) - p.d
     return (res_a, res_b, res_c, res_d, res_e)
-
-
-def _xlnx(v: float) -> float:
-    return 0.0 if v <= 0.0 else v * math.log(v)
 
 
 def input_spectrum_pair(p: XStateParams) -> tuple[float, float]:

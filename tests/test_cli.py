@@ -238,11 +238,13 @@ class TestScan:
 
     def test_cap_enforced(self, tmp_path, capsys):
         path = tmp_path / "big.json"
-        axes = {k: {"start": 0.0, "stop": 1.0, "count": 10} for k in ("a1", "a2", "a3", "a4", "d")}
-        path.write_text(json.dumps({"mode": "raw", "axes": axes}))
-        code, _, err = run_cli(capsys, "scan", "--grid", str(path), "--cap", "1000")
-        assert code == EXIT_INVALID
-        assert "cap" in err
+        # 10^15 points must be refused from the document, before any is built
+        for count in (10, 1000):
+            axes = {k: {"start": 0.0, "stop": 1.0, "count": count} for k in ("a1", "a2", "a3", "a4", "d")}
+            path.write_text(json.dumps({"mode": "raw", "axes": axes}))
+            code, _, err = run_cli(capsys, "scan", "--grid", str(path), "--cap", "1000")
+            assert code == EXIT_INVALID
+            assert "cap" in err
 
 
 class TestToleranceOverride:

@@ -1,0 +1,91 @@
+"""Import graph: each entry point loads only the libraries its code path runs."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import xree
+import xree.oracle
+from xree import OracleConfig, named_state, oracle_ree
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(xree.__file__)))
+HEAVY = ("scipy.optimize", "jsonschema")
+
+
+def run_fresh(code: str) -> dict:
+    """Run `code` in a new interpreter and parse the JSON line it prints."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+PRELUDE = f"""
+import contextlib, io, json, sys
+import xree, xree.cli
+
+def call(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = xree.cli.main(list(argv))
+    return code, err.getvalue()
+
+def loaded():
+    return [m for m in {HEAVY!r} if m in sys.modules]
+"""
+
+
+def test_compute_loads_neither_scipy_optimize_nor_jsonschema():
+    got = run_fresh(
+        PRELUDE
+        + """
+after_import = loaded()
+code, _ = call("compute", "--params", "0.1,0.4,0.3,0.2,0.3")
+print(json.dumps({"code": code, "after_import": after_import, "after_compute": loaded()}))
+"""
+    )
+    assert got == {"code": 0, "after_import": [], "after_compute": []}
+
+
+def test_documents_still_load_and_enforce_the_schema(tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"params": {"A1": 0.1}}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"mode": "line", "count": 5}))
+    got = run_fresh(
+        PRELUDE
+        + f"""
+state = call("compute", "--input", {str(state)!r})
+grid = call("scan", "--grid", {str(grid)!r})
+print(json.dumps({{"state": state, "grid": grid, "loaded": loaded()}}))
+"""
+    )
+    assert got["loaded"] == ["jsonschema"]
+    for code, err in (got["state"], got["grid"]):
+        assert code == 1
+        assert err.startswith("error: field")
+
+
+def test_oracle_minimizer_is_a_wrappable_module_attribute(monkeypatch):
+    assert callable(xree.oracle.minimize)
+    assert xree.oracle.minimize.__module__ == "xree.oracle"
+    calls = []
+    forward = xree.oracle.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(xree.oracle, "minimize", counting)
+    cfg = OracleConfig(num_product_terms=4, restarts=1, max_iterations=200)
+    res = oracle_ree(named_state("vp", 1.0, 0.0, 0.0), cfg)
+    assert calls and set(calls) == {"Nelder-Mead"}
+    assert math.log(2.0) - 1e-9 <= res.ree_upper_bound < math.log(2.0) + 1e-6

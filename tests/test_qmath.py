@@ -1,6 +1,7 @@
 """Linear-algebra layer: eigensolver, entropies, partial transpose."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestHermitianEig:
         m[0, 1] = 1.0
         with pytest.raises(InvalidStateError):
             hermitian_eig(m)
+
+    def test_huge_rotation_angle_no_overflow_warning(self):
+        # the (2, 3) rotation has tau = 0.5 / 1e-200, whose square overflows
+        m = np.diag([0.0, 1.0, 0.0, 1.0]).astype(complex)
+        m[0, 1] = m[1, 0] = 0.5
+        m[2, 3] = m[3, 2] = 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = hermitian_eig(m)
+        assert np.max(np.abs(eig.values - np.linalg.eigvalsh(m))) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=16, max_size=16))
