@@ -454,13 +454,7 @@ def cmd_scan(args) -> int:
         except json.JSONDecodeError as exc:
             raise InvalidStateError(f"grid document is not valid JSON: {exc}")
     mode, names, points = _grid_points(doc, args.cap)
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda pt: _scan_row(mode, pt), points))
-    else:
-        rows = [_scan_row(mode, pt) for pt in points]
+    rows = [_scan_row(mode, pt) for pt in points]
     skipped = sum(1 for r in rows if not r)
     header = ",".join(names + ("branch", "ree", "residual_max"))
     body = "\n".join([header] + [r for r in rows if r]) + "\n"
@@ -514,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="sweep a parameter grid to CSV")
     p_scan.add_argument("--grid", required=True, help="JSON grid specification")
     p_scan.add_argument("--out", help="write CSV here instead of stdout")
-    p_scan.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_scan.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     p_scan.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT, help="max grid points")
     p_scan.set_defaults(func=cmd_scan)
     return parser

@@ -26,10 +26,8 @@ class Tolerances:
     family_sparsity: float = 1e-10
     cos_phi_min: float = 1e-9
 
-    # eigensolver
+    # eigensolver input check and entropy eigenvalue cut-off
     eig_hermitian_pre: float = 1e-10
-    eig_offdiag: float = 1e-14
-    eig_max_sweeps: int = 100
     eigenvalue_clamp: float = 1e-15
 
     # relative entropy support handling

@@ -1,9 +1,9 @@
 """Dense 4x4 complex Hermitian linear algebra for two-qubit states.
 
-Eigendecomposition (in-house cyclic Jacobi), von Neumann and relative
-entropies in nats, partial transposition on the second qubit, and the
-binary entropy function. All operations are pure functions on immutable
-values and safe to call concurrently.
+Eigendecomposition (LAPACK, through np.linalg.eigh), von Neumann and
+relative entropies in nats, partial transposition on the second qubit,
+and the binary entropy function. All operations are pure functions on
+immutable values and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
     if a.shape != (DIM, DIM):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidStateError("matrix has a non-finite (nan or inf) entry")
     return a
 
 
@@ -67,47 +69,11 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-# Above this |tau|, tau * tau would overflow a double (about 1.3e154).
-_TAU_MAX = 1e150
-
-
-def _jacobi_rotation(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] (and its mirror) with a complex plane rotation."""
-    apq = a[p, q]
-    b = abs(apq)
-    if b == 0.0:
-        return
-    phase = apq / b
-    # Python floats: a quotient past the double range becomes inf silently
-    tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(b))
-    if abs(tau) > _TAU_MAX:
-        t = 0.5 / tau  # the formula below, where 1 + tau * tau still fits
-    elif tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    r = np.eye(DIM, dtype=complex)
-    r[p, p] = c
-    r[p, q] = s * phase
-    r[q, p] = -s * np.conj(phase)
-    r[q, q] = c
-    a[...] = r.conj().T @ a @ r
-    v[...] = v @ r
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
-    """Eigendecomposition of a 4x4 Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a 4x4 Hermitian matrix by LAPACK (np.linalg.eigh).
 
-    The input is symmetrized as (m + m^dag)/2 before iterating; sweeps stop
-    once the off-diagonal Frobenius norm falls below the configured
-    threshold. Raises NumericalError if the sweep budget is exhausted.
+    The input is symmetrized as (m + m^dag)/2 first. Raises NumericalError
+    if LAPACK does not converge.
     """
     tol = tol or default_tolerances()
     a = _as_matrix(m)
@@ -117,23 +83,11 @@ def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
             f"input is not Hermitian within {tol.eig_hermitian_pre:.1e}: "
             f"deviation {dev:.3e}"
         )
-    a = 0.5 * (a + a.conj().T)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    v = np.eye(DIM, dtype=complex)
-    for sweep in range(tol.eig_max_sweeps):
-        if _offdiag_norm(a) < tol.eig_offdiag * scale:
-            break
-        for p in range(DIM):
-            for q in range(p + 1, DIM):
-                _jacobi_rotation(a, v, p, q)
-    else:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {tol.eig_max_sweeps} "
-            f"sweeps; off-diagonal norm {_offdiag_norm(a):.3e}"
-        )
-    values = np.real(np.diagonal(a)).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values=values[order], vectors=v[:, order])
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def _xlnx(x: float) -> float:

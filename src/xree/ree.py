@@ -35,7 +35,7 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from .qmath import _xlnx, binary_entropy, min_eig_pt, relative_entropy
-from .states import XStateParams, is_entangled, to_density_matrix, x_state
+from .states import XStateParams, _check_simplex, is_entangled, to_density_matrix, x_state
 
 BRANCH_SEPARABLE = "separable"
 BRANCH_THEOREM1 = "theorem1"
@@ -600,10 +600,7 @@ def closed_form_family_ree(
     tol = tol or default_tolerances()
     weights = tuple(float(w) for w in weights)
     name = family.lower()
-    if any(w < -tol.simplex for w in weights):
-        raise InvalidStateError(f"{name}: negative weight in {weights}")
-    if abs(sum(weights) - 1.0) > tol.simplex:
-        raise InvalidStateError(f"{name}: weights sum to {sum(weights)!r}, not 1")
+    _check_simplex(weights, tol, name)
     if name == "bell_diagonal":
         if len(weights) != 4:
             raise InvalidStateError("bell_diagonal requires 4 weights")

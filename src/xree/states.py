@@ -29,6 +29,13 @@ from .qmath import DensityMatrix
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 
 
+def _check_finite(values, label: str) -> None:
+    # nan is false under every range comparison, and max(0.0, nan) is 0.0,
+    # so the range checks alone would let it through
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidStateError(f"{label}: non-finite value in {tuple(values)}")
+
+
 @dataclass(frozen=True)
 class XStateParams:
     """Populations a1..a4, coherence magnitude d >= 0, and phase phi."""
@@ -73,6 +80,7 @@ def x_state(
     and d in [0, sqrt(a2 a3)] up to the configured slack.
     """
     tol = tol or default_tolerances()
+    _check_finite((a1, a2, a3, a4, d, phi), "x_state")
     pops = (a1, a2, a3, a4)
     if any(a < -tol.simplex for a in pops):
         raise InvalidStateError(f"negative population in {pops}")
@@ -101,6 +109,7 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
     remainder renormalized.
     """
     tol = tol or default_tolerances()
+    _check_finite((b.r, b.s, b.g_x, b.g_z, b.phi), "Bloch parameters")
     if abs(math.cos(b.phi)) < tol.cos_phi_min:
         raise SingularPhaseError(
             "cos(phi) is numerically zero; the coherence magnitude cannot be "
@@ -209,6 +218,7 @@ def _basis_projector(index: int) -> np.ndarray:
 
 
 def _check_simplex(weights, tol: Tolerances, label: str) -> None:
+    _check_finite(weights, label)
     if any(w < -tol.simplex for w in weights):
         raise InvalidStateError(f"{label}: negative weight in {tuple(weights)}")
     total = sum(weights)

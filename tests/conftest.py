@@ -12,7 +12,7 @@ from xree.ree import BRANCH_FAILURE
 def charpoly_eigenvalues(m) -> np.ndarray:
     """Eigenvalues via Faddeev-LeVerrier coefficients and polynomial roots.
 
-    Deliberately independent of the package's Jacobi solver: builds the
+    Deliberately independent of the package's eigensolver: builds the
     characteristic polynomial det(lambda I - M) and solves the quartic.
     Runs in 50-digit arithmetic because double roots (which this family
     has) are sqrt(eps)-sensitive to coefficient rounding.
