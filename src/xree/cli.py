@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .config import default_tolerances
-from .errors import InvalidStateError, NotInFamilyError, XreeError
+from .errors import InvalidStateError, XreeError
 from .oracle import OracleConfig, OracleValidation, oracle_validate
 from .qmath import DensityMatrix, LN2, min_eig_pt, relative_entropy
 from .ree import (
@@ -422,7 +422,7 @@ def _grid_points(
     return mode, names, [tuple(p) for p in itertools.product(*axes)]
 
 
-def _scan_state(mode: str, point: tuple[float, ...], tol) -> XStateParams | None:
+def _scan_state(mode: str, point: tuple[float, ...]) -> XStateParams | None:
     """Map a grid point to parameters; None if infeasible."""
     try:
         if mode == "theorem3_example":
@@ -435,9 +435,8 @@ def _scan_state(mode: str, point: tuple[float, ...], tol) -> XStateParams | None
 
 
 def _scan_row(mode: str, point: tuple[float, ...]) -> str:
-    tol = default_tolerances()
     cells = [f"{v:.12g}" for v in point]
-    state = _scan_state(mode, point, tol)
+    state = _scan_state(mode, point)
     if state is None:
         return ""
     result = compute_ree(state)
@@ -519,10 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NotInFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        default_tolerances()
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: REE_TOL_OVERRIDE: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    try:
+        return args.func(args)
     except (XreeError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -62,6 +62,8 @@ class Tolerances:
         """Build tolerances from a JSON file holding a subset of fields."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"tolerance file {path} does not hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:

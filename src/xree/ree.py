@@ -349,33 +349,38 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 
 
 def _t3_candidates(
-    r1: np.ndarray, sign: float, p: XStateParams
+    r1: np.ndarray, sign: np.ndarray, p: XStateParams
 ) -> tuple[np.ndarray, ...]:
-    """Populations (r2, r3, r4), y, and the feasibility mask for given r1."""
+    """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
+
+    r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast
+    against each other: a grid of shape (G,) with sign of shape (2, 1)
+    gives (2, G) arrays, one row per branch; r1 and sign of shape (K,)
+    give one entry per root. r4 and y take the shape of r1.
+    """
     a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
     r4 = r1 - (a1 - a4)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = r1 * r4
-        ok = (r1 > a1) & (r4 > 0.0)
-        gamma = (
-            16.0 * d * np.sqrt(np.where(w > 0.0, w, 0.0))
-            - 8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4) * r1
-            + ((a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3))
-        )
-        ok &= gamma >= 0.0
-        root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
-        r2 = 0.25 * ((4.0 * a1 + 3.0 * a2 + a3) - 4.0 * r1 + sign * root)
-        r3 = 0.25 * ((4.0 * a1 + a2 + 3.0 * a3) - 4.0 * r1 - sign * root)
-        ok &= (r2 > 0.0) & (r3 > 0.0)
-        y = np.sqrt(np.where(w > 0.0, w, 0.0))
+    w = r1 * r4
+    y = np.sqrt(np.where(w > 0.0, w, 0.0))
+    gamma = (
+        16.0 * d * y
+        - 8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4) * r1
+        + ((a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3))
+    )
+    root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
+    r2 = 0.25 * ((4.0 * a1 + 3.0 * a2 + a3) - 4.0 * r1 + sign * root)
+    r3 = 0.25 * ((4.0 * a1 + a2 + 3.0 * a3) - 4.0 * r1 - sign * root)
+    ok = (r1 > a1) & (r4 > 0.0) & (gamma >= 0.0) & (r2 > 0.0) & (r3 > 0.0)
     return r2, r3, r4, y, ok
 
 
-def _t3_equation(r1: np.ndarray, sign: float, p: XStateParams) -> np.ndarray:
+def _t3_equation(r1: np.ndarray, sign: np.ndarray, p: XStateParams) -> np.ndarray:
     """The one-variable reduction f(r1); nan where the candidate is infeasible.
 
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
+
+    r1 and sign broadcast as in _t3_candidates; f has their common shape.
     """
     a1, d = p.a1, p.d
     r2, r3, r4, y, ok = _t3_candidates(r1, sign, p)
@@ -384,35 +389,34 @@ def _t3_equation(r1: np.ndarray, sign: float, p: XStateParams) -> np.ndarray:
         s = r2 + r3
         w = r1 * r4
         z = np.sqrt(u * u + 4.0 * w)
-        ok &= s > z
         den = y * (d - y) * z * z - 2.0 * w * (r1 - a1) * s
-        ok &= den != 0.0
-        safe = np.where(ok, 1.0, np.nan)
-        ell = np.log((s + z) / np.where(s > z, s - z, np.nan))
-        f = ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
-    return f * safe
-
-
-def _t3_scalar(r1: float, sign: float, p: XStateParams) -> float | None:
-    val = float(_t3_equation(np.array([r1]), sign, p)[0])
-    return None if math.isnan(val) else val
+        ok &= (s > z) & (den != 0.0)
+        ell = np.log((s + z) / np.where(ok, s - z, np.nan))
+        return ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
 
 
 def _bisect_t3(
-    lo: float, hi: float, flo: float, sign: float, p: XStateParams, tol: Tolerances
-) -> float | None:
-    """Shrink a sign-change bracket of the reduction to the configured width."""
-    a, b, fa = lo, hi, flo
-    while b - a > tol.root_bisect_tol:
+    a: np.ndarray, b: np.ndarray, fa: np.ndarray, sign: np.ndarray,
+    p: XStateParams, tol: Tolerances,
+) -> np.ndarray:
+    """Halve every sign-change bracket [a, b] of the reduction together.
+
+    A bracket stops once it is no wider than root_bisect_tol, and its root
+    is its midpoint. A nan value at a midpoint sets the bracket to nan,
+    which stops it and makes its root nan.
+    """
+    while True:
         mid = 0.5 * (a + b)
-        fm = _t3_scalar(mid, sign, p)
-        if fm is None:
-            return None
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+        active = b - a > tol.root_bisect_tol
+        if not active.any():
+            return mid
+        fm = _t3_equation(mid, sign, p)
+        left = active & (fa * fm <= 0.0)
+        right = active & ~left
+        b = np.where(left, mid, b)
+        a = np.where(right, mid, a)
+        fa = np.where(right, fm, fa)
+        a[active & np.isnan(fm)] = np.nan
 
 
 def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
@@ -435,60 +439,43 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             None, None, BRANCH_FAILURE, None, "empty feasible interval for r1"
         )
     grid = np.linspace(lo, hi, tol.root_grid_points)
+    signs = np.array([[1.0], [-1.0]])
+    vals = _t3_equation(grid, signs, p)
+    # a bracket is a grid cell with finite ends and a zero at its left end
+    # or a sign change; row-major order keeps sign +1 first, then r1 ascending
+    finite = np.isfinite(vals)
+    both = finite[:, :-1] & finite[:, 1:]
+    change = both & (vals[:, :-1] * vals[:, 1:] < 0.0)
+    rows, cells = np.nonzero(change | (both & (vals[:, :-1] == 0.0)))
+    sign = signs[rows, 0]
+    # a zero-width bracket [r, r] is not bisected and returns its root r
+    a = grid[cells]
+    b = np.where(change[rows, cells], grid[cells + 1], a)
+    roots = _bisect_t3(a, b, vals[rows, cells], sign, p, tol)
+    fval = _t3_equation(roots, sign, p)
+    r2, r3, r4, y, ok = _t3_candidates(roots, sign, p)
+    side = (r2 - r3) * (p.a2 - r2) + 2.0 * y * (p.d - y) - 2.0 * r2 * (roots - p.a1)
+    keep = (
+        (np.abs(fval) <= tol.root_value_cap)  # nan: bisection failed; large: a pole
+        & ok
+        & ~(np.abs(side) > tol.sign_residual)
+        & ~(y * y > r2 * r3 + tol.y_edge)
+    )
     accepted: list[tuple[float, CssSolution, float]] = []
-    n_brackets = 0
-    n_rejected = 0
-    for sign in (1.0, -1.0):
-        vals = _t3_equation(grid, sign, p)
-        finite = np.isfinite(vals)
-        for i in range(len(grid) - 1):
-            if not (finite[i] and finite[i + 1]):
-                continue
-            if vals[i] == 0.0:
-                root = float(grid[i])
-            elif vals[i] * vals[i + 1] < 0.0:
-                root = _bisect_t3(
-                    float(grid[i]), float(grid[i + 1]), float(vals[i]), sign, p, tol
-                )
-            else:
-                continue
-            n_brackets += 1
-            if root is None:
-                n_rejected += 1
-                continue
-            fval = _t3_scalar(root, sign, p)
-            if fval is None or abs(fval) > tol.root_value_cap:
-                n_rejected += 1  # pole, not a root
-                continue
-            arr = np.array([root])
-            r2, r3, r4, y, ok = _t3_candidates(arr, sign, p)
-            if not bool(ok[0]):
-                n_rejected += 1
-                continue
-            r1v, r2v, r3v, r4v, yv = root, float(r2[0]), float(r3[0]), float(r4[0]), float(y[0])
-            side = (r2v - r3v) * (p.a2 - r2v) + 2.0 * yv * (p.d - yv) - 2.0 * r2v * (
-                r1v - p.a1
-            )
-            if abs(side) > tol.sign_residual:
-                n_rejected += 1
-                continue
-            if yv * yv > r2v * r3v + tol.y_edge:
-                n_rejected += 1
-                continue
-            x = _multiplier(r1v, r4v, p.a1)
-            css = css_solution(r1v, r2v, r3v, r4v, yv, p.phi, x)
-            try:
-                residuals = css_residuals(css, p, tol)
-                ree = ree_from_css(p, css, tol)
-            except LogDomainError:
-                n_rejected += 1
-                continue
-            rmax = max(abs(r) for r in residuals)
-            if rmax > tol.residual_validation:
-                n_rejected += 1
-                continue
-            accepted.append((ree, css, rmax))
-    if not accepted:
+    for k in np.flatnonzero(keep):
+        r1v, r2v, r3v, r4v, yv = (float(v[k]) for v in (roots, r2, r3, r4, y))
+        x = _multiplier(r1v, r4v, p.a1)
+        css = css_solution(r1v, r2v, r3v, r4v, yv, p.phi, x)
+        try:
+            residuals = css_residuals(css, p, tol)
+            ree = ree_from_css(p, css, tol)
+        except LogDomainError:
+            continue
+        rmax = max(abs(r) for r in residuals)
+        if rmax > tol.residual_validation:
+            continue
+        accepted.append((ree, css, rmax))
+    if not accepted:  # so every bracket was rejected
         return ReeResult(
             None,
             None,
@@ -496,7 +483,7 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             None,
             f"no valid root of the one-variable reduction over "
             f"{tol.root_grid_points} grid points per sign branch "
-            f"({n_brackets} brackets, {n_rejected} rejected)",
+            f"({len(roots)} brackets, {len(roots)} rejected)",
         )
     accepted.sort(key=lambda item: item[0])
     ree, css, rmax = accepted[0]

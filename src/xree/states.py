@@ -47,6 +47,12 @@ class XStateParams:
     d: float
     phi: float = 0.0
 
+    def __post_init__(self) -> None:
+        # the dataclass is public: compute_ree must not see nan as separable
+        _check_finite(
+            (self.a1, self.a2, self.a3, self.a4, self.d, self.phi), "XStateParams"
+        )
+
     def diag(self) -> tuple[float, float, float, float]:
         return (self.a1, self.a2, self.a3, self.a4)
 

@@ -277,3 +277,35 @@ class TestToleranceOverride:
         bad.write_text(json.dumps({"nonsense": 1}))
         with pytest.raises(ValueError):
             Tolerances.from_file(str(bad))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(json.dumps({"eig_max_sweeps": 50}), id="unknown-field"),
+            pytest.param("{not json", id="malformed"),
+            pytest.param(json.dumps([1, 2]), id="list"),
+        ],
+    )
+    def test_bad_override_file_exits_invalid(self, tmp_path, monkeypatch, capsys, text):
+        import xree.config as config
+
+        bad = tmp_path / "tols.json"
+        bad.write_text(text)
+        monkeypatch.setenv("REE_TOL_OVERRIDE", str(bad))
+        config.reset_tolerance_cache()
+        try:
+            code, out, err = run_cli(capsys, "compute", "--params", "0.1,0.4,0.3,0.2,0.1")
+        finally:
+            monkeypatch.delenv("REE_TOL_OVERRIDE")
+            config.reset_tolerance_cache()
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_list_override_is_value_error(self, tmp_path):
+        from xree.config import Tolerances
+
+        bad = tmp_path / "list.json"
+        bad.write_text(json.dumps([{"root_grid_points": 20000}]))
+        with pytest.raises(ValueError, match="JSON object"):
+            Tolerances.from_file(str(bad))

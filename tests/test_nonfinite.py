@@ -14,8 +14,8 @@ import pytest
 from xree import BlochZParams, DensityMatrix, hermitian_eig, x_state, x_state_from_bloch
 from xree.cli import EXIT_INVALID, main
 from xree.errors import InvalidStateError, NumericalError
-from xree.ree import closed_form_family_ree
-from xree.states import named_state
+from xree.ree import closed_form_family_ree, compute_ree
+from xree.states import XStateParams, named_state
 
 NAN = math.nan
 INF = math.inf
@@ -47,6 +47,15 @@ INF = math.inf
             id="bell-diagonal-nan",
         ),
         pytest.param(lambda: named_state("vp", NAN, 0.5, 0.5), id="named-vp-nan"),
+        pytest.param(lambda: XStateParams(NAN, 0.4, 0.3, 0.3, 0.3), id="params-a1-nan"),
+        pytest.param(lambda: XStateParams(0.1, 0.4, 0.3, 0.2, NAN), id="params-d-nan"),
+        pytest.param(
+            lambda: XStateParams(0.1, 0.4, 0.3, 0.2, 0.1, -INF), id="params-phi-inf"
+        ),
+        pytest.param(
+            lambda: compute_ree(XStateParams(NAN, 0.4, 0.3, 0.3, 0.3)),
+            id="compute-ree-params-nan",
+        ),
     ],
 )
 def test_non_finite_parameters_rejected(build):

@@ -25,6 +25,8 @@ from xree import (
     to_density_matrix,
     x_state,
 )
+import xree.ree as ree_module
+from xree.config import default_tolerances
 from xree.errors import WrongBranchError
 from xree.ree import (
     BRANCH_FAILURE,
@@ -32,7 +34,9 @@ from xree.ree import (
     BRANCH_THEOREM1,
     BRANCH_THEOREM2,
     BRANCH_THEOREM3,
+    _bisect_t3,
     _multiplier,
+    _t3_equation,
     input_spectrum_pair,
 )
 from xree.states import RAINS_PARAMS
@@ -220,6 +224,75 @@ class TestTheorem3:
                 math.sqrt(result.css.r1 * result.css.r4), abs=1e-10
             )
             done += 1
+
+    def test_failure_diagnostics_counts(self):
+        result = solve_theorem3(params_for("theorem3_example", *FAILURE_WEIGHTS))
+        assert result.diagnostics.endswith(
+            "over 2000 grid points per sign branch (0 brackets, 0 rejected)"
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["residual_validation", "root_value_cap", "sign_residual"]
+    )
+    def test_rejected_root_is_counted(self, field):
+        # Rains has one bracket; a zero bound on any root filter rejects it
+        tol = replace(default_tolerances(), **{field: 0.0})
+        result = solve_theorem3(RAINS_PARAMS, tol)
+        assert result.branch == BRANCH_FAILURE
+        assert result.diagnostics.endswith("(1 brackets, 1 rejected)")
+
+    def test_bisection_matches_scalar_reference(self):
+        tol = default_tolerances()
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_entangled_params(rng, "theorem3")
+            grid = np.linspace(p.a1 + 1e-12, 0.5 * (1.0 + p.a1 - p.a4), 200)
+            for sign in (1.0, -1.0):
+                vals = _t3_equation(grid, np.array(sign), p)
+                cells = [
+                    i
+                    for i in range(len(grid) - 1)
+                    if np.isfinite(vals[i : i + 2]).all() and vals[i] * vals[i + 1] < 0.0
+                ]
+                if not cells:
+                    continue
+                got = _bisect_t3(
+                    grid[cells], grid[[i + 1 for i in cells]], vals[cells],
+                    np.full(len(cells), sign), p, tol,
+                )
+                for i, root in zip(cells, got):
+                    a, b, fa = float(grid[i]), float(grid[i + 1]), float(vals[i])
+                    while b - a > tol.root_bisect_tol:
+                        mid = 0.5 * (a + b)
+                        fm = float(_t3_equation(np.array([mid]), np.array(sign), p)[0])
+                        if fa * fm <= 0.0:
+                            b = mid
+                        else:
+                            a, fa = mid, fm
+                    assert root == 0.5 * (a + b)
+
+    def test_each_bracket_stops_on_its_own(self, monkeypatch):
+        # roots at 0.3 and 0.65; the second bracket's first midpoint is nan,
+        # and the third bracket has zero width
+        def reduction(r1, sign, p):
+            f = r1 - np.where(r1 < 0.45, 0.3, 0.65)
+            return np.where(r1 == 0.6, np.nan, f)
+
+        monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+        a, b = np.array([0.2, 0.5, 0.65]), np.array([0.4, 0.7, 0.65])
+        fa = reduction(a, None, None)
+        roots = _bisect_t3(a, b, fa, np.ones(3), RAINS_PARAMS, default_tolerances())
+        assert roots[0] == pytest.approx(0.3, abs=1e-13)
+        assert math.isnan(roots[1])
+        assert roots[2] == 0.65
+
+    def test_nan_root_is_a_rejected_bracket(self, monkeypatch):
+        monkeypatch.setattr(
+            ree_module, "_bisect_t3", lambda a, b, fa, sign, p, tol: np.full(a.shape, np.nan)
+        )
+        result = solve_theorem3(RAINS_PARAMS)
+        assert result.branch == BRANCH_FAILURE
+        assert result.diagnostics.endswith("(1 brackets, 1 rejected)")
 
 
 class TestComputeReeDispatch:
