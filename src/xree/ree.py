@@ -35,7 +35,10 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from .qmath import _xlnx, binary_entropy, min_eig_pt, relative_entropy
-from .states import XStateParams, _check_simplex, is_entangled, to_density_matrix, x_state
+from .states import (
+    XStateParams, _check_simplex, _check_state, input_spectrum_pair, is_entangled,
+    to_density_matrix, x_state,
+)
 
 BRANCH_SEPARABLE = "separable"
 BRANCH_THEOREM1 = "theorem1"
@@ -46,11 +49,7 @@ BRANCH_FAILURE = "ansatz_failure"
 
 @dataclass(frozen=True)
 class CssSolution:
-    """Candidate closest separable state plus the multiplier x.
-
-    z and ell are stored alongside; ell is +inf when the middle block is
-    rank deficient (r2 r3 = r1 r4) and nan when the candidate is not PSD.
-    """
+    """Candidate closest separable state plus the multiplier x."""
 
     r1: float
     r2: float
@@ -59,8 +58,6 @@ class CssSolution:
     y: float
     phi: float
     x: float
-    z: float
-    ell: float
 
     def diag(self) -> tuple[float, float, float, float]:
         return (self.r1, self.r2, self.r3, self.r4)
@@ -80,16 +77,8 @@ class ReeResult:
 def css_solution(
     r1: float, r2: float, r3: float, r4: float, y: float, phi: float, x: float
 ) -> CssSolution:
-    """Build a CssSolution, deriving z and ell from the populations."""
-    z = math.sqrt((r2 - r3) ** 2 + 4.0 * r1 * r4)
-    s = r2 + r3
-    if s > z:
-        ell = 2.0 * math.atanh(z / s) if s > 0.0 else 0.0
-    elif s == z:
-        ell = math.inf
-    else:
-        ell = math.nan
-    return CssSolution(r1, r2, r3, r4, y, phi, x, z, ell)
+    """Build a CssSolution from its populations, coherence, phase and multiplier."""
+    return CssSolution(r1, r2, r3, r4, y, phi, x)
 
 
 def css_to_x_params(c: CssSolution, tol: Tolerances | None = None) -> XStateParams:
@@ -184,17 +173,6 @@ def css_residuals(
     res_d = r3 + 2.0 * x * h * (0.5 + u * g) - p.a3
     res_e = y + x * yfrac * (0.5 * s + u * u * g) - p.d
     return (res_a, res_b, res_c, res_d, res_e)
-
-
-def input_spectrum_pair(p: XStateParams) -> tuple[float, float]:
-    """Eigenvalues of the middle 2x2 block of the input state.
-
-    These are (a2 + a3)/2 +- sqrt((a2 - a3)^2 + 4 d^2)/2; together with a1
-    and a4 they form the full spectrum.
-    """
-    disc = math.sqrt((p.a2 - p.a3) ** 2 + 4.0 * p.d * p.d)
-    half = 0.5 * (p.a2 + p.a3)
-    return (half + 0.5 * disc, half - 0.5 * disc)
 
 
 def ree_from_css(
@@ -502,6 +480,8 @@ def _separable_result(p: XStateParams) -> ReeResult:
 def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     """Dispatch on the branch preconditions and validate the result.
 
+    The input must pass the family's validity rule (states._check_state),
+    so a directly built XStateParams is checked like one from x_state.
     Separable inputs return REE = 0 with the state as its own CSS. For
     entangled inputs the branch solution is accepted only if the five
     coupled-equation residuals, the edge condition on the partial
@@ -510,6 +490,7 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     to ansatz_failure with diagnostics.
     """
     tol = tol or default_tolerances()
+    _check_state(p, tol)
     if not is_entangled(p, tol):
         return _separable_result(p)
     diagnostics = []
@@ -536,7 +517,7 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             except (WrongBranchError, NumericalError, LogDomainError) as exc:
                 diagnostics.append(f"symmetric-projection cross-check failed: {exc}")
     if result.branch == BRANCH_FAILURE:
-        return replace(result, diagnostics="; ".join(diagnostics) or result.diagnostics)
+        return replace(result, diagnostics="; ".join(diagnostics))
 
     problems = []
     if result.residual_max is None or result.residual_max > tol.residual_validation:
@@ -566,9 +547,8 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
                 [f"{result.branch} solution failed validation"] + problems + diagnostics
             ),
         )
-    if diagnostics:
-        merged = "; ".join(d for d in [result.diagnostics] + diagnostics if d)
-        result = replace(result, diagnostics=merged)
+    if diagnostics:  # theorem3 only; it already holds the solver's note
+        result = replace(result, diagnostics="; ".join(diagnostics))
     return result
 
 

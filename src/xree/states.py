@@ -10,8 +10,9 @@ d e^{+-i phi} coupling |01> and |10>:
      [0,  0,            0,            a4]]
 
 This is the image of states with z-directional single-qubit Bloch vectors
-and equal x/y correlation components. Positivity requires d <= sqrt(a2 a3);
-the state is entangled exactly when d^2 > a1 a4.
+and equal x/y correlation components. The spectrum is a1, a4 and
+(a2 + a3)/2 +- sqrt((a2 - a3)^2 + 4 d^2)/2, so positivity requires
+d <= sqrt(a2 a3); the state is entangled exactly when d^2 > a1 a4.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def x_state(
 ) -> XStateParams:
     """Validate and build XStateParams.
 
-    Requires the populations to lie on the unit simplex (within tolerance)
-    and d in [0, sqrt(a2 a3)] up to the configured slack.
+    Rejects populations or d below -simplex and populations that miss the
+    unit simplex by more than simplex; clamps the small negatives left to
+    zero, then applies the family's one validity rule, _check_state.
     """
     tol = tol or default_tolerances()
     _check_finite((a1, a2, a3, a4, d, phi), "x_state")
@@ -95,14 +97,40 @@ def x_state(
         raise InvalidStateError(f"populations sum to {total!r}, not 1")
     if d < -tol.simplex:
         raise InvalidStateError(f"coherence magnitude {d!r} is negative")
-    d = max(0.0, d)
-    a1, a2, a3, a4 = (max(0.0, a) for a in pops)
-    if d * d > a2 * a3 + tol.coherence_slack:
+    p = XStateParams(*(max(0.0, a) for a in pops), max(0.0, d), phi)
+    _check_state(p, tol)
+    return p
+
+
+def input_spectrum_pair(p: XStateParams) -> tuple[float, float]:
+    """Eigenvalues of the middle 2x2 block of the state.
+
+    These are (a2 + a3)/2 +- sqrt((a2 - a3)^2 + 4 d^2)/2; together with a1
+    and a4 they form the full spectrum.
+    """
+    disc = math.sqrt((p.a2 - p.a3) ** 2 + 4.0 * p.d * p.d)
+    half = 0.5 * (p.a2 + p.a3)
+    return (half + 0.5 * disc, half - 0.5 * disc)
+
+
+def _check_state(p: XStateParams, tol: Tolerances) -> None:
+    """The one validity rule for a family member.
+
+    Rejects d^2 > a2 a3 + coherence_slack, and applies the trace and PSD
+    bounds of DensityMatrix.from_matrix to the closed-form spectrum, so no
+    eigendecomposition runs.
+    """
+    if p.d * p.d > p.a2 * p.a3 + tol.coherence_slack:
         raise InvalidStateError(
-            f"coherence {d!r} exceeds sqrt(a2*a3) = {math.sqrt(a2 * a3)!r}; "
-            "matrix would not be PSD"
+            f"coherence {p.d!r} exceeds sqrt(a2*a3) = "
+            f"{math.sqrt(max(p.a2 * p.a3, 0.0))!r}; matrix would not be PSD"
         )
-    return XStateParams(a1, a2, a3, a4, d, phi)
+    tr_dev = abs(p.a1 + p.a2 + p.a3 + p.a4 - 1.0)
+    if tr_dev > tol.trace:
+        raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
+    lo = min(p.a1, p.a4, input_spectrum_pair(p)[1])
+    if lo < -tol.psd:
+        raise InvalidStateError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
 
 
 def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XStateParams:
@@ -143,14 +171,23 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
 
 
 def to_density_matrix(p: XStateParams, tol: Tolerances | None = None) -> DensityMatrix:
-    """Materialize the 4x4 matrix for the given parameters."""
+    """Materialize the 4x4 matrix of a family member.
+
+    The state must pass the one validity rule, _check_state; no
+    eigendecomposition runs.
+    """
     tol = tol or default_tolerances()
+    _check_state(p, tol)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.diag()
     coh = p.d * cmath.exp(1j * p.phi)
     m[1, 2] = coh
     m[2, 1] = coh.conjugate()
-    return DensityMatrix.from_matrix(m, tol)
+    # the symmetrisation from_matrix applies, so the entries match it bit for
+    # bit, signed zeros included
+    m = 0.5 * (m + m.conj().T)
+    m.setflags(write=False)
+    return DensityMatrix(m)
 
 
 def from_density_matrix(
@@ -245,6 +282,22 @@ RAINS_PARAMS = XStateParams(
 )
 
 
+_BELL = [_projector(bell_ket(k)) for k in (1, 2, 3, 4)]
+_BASIS = [_basis_projector(i) for i in range(4)]
+# mixture families: (what the weights are, the matrices they weight, summed
+# left to right)
+_MIXTURES = {
+    "bell_diagonal": ("4 weights", _BELL),
+    "vp": ("3 weights", [_BELL[2], _BASIS[1], _BASIS[2]]),
+    "horodecki": ("3 weights", [_BELL[2], _BASIS[0], _BASIS[3]]),
+    "theorem2_example": ("(p1, p2, q1, q2)", [_BELL[2], _BELL[3], _BASIS[0], _BASIS[3]]),
+    "theorem3_example": (
+        "(p, q1, q2, q3, q4)",
+        [_BELL[2], _BASIS[1], _BASIS[2], _BASIS[0], _BASIS[3]],
+    ),
+}
+
+
 def named_state(family: str, *params: float, tol: Tolerances | None = None) -> DensityMatrix:
     """Construct one of the reference states by name.
 
@@ -266,25 +319,14 @@ def named_state(family: str, *params: float, tol: Tolerances | None = None) -> D
         if params:
             raise InvalidStateError("rains() takes no parameters")
         return to_density_matrix(RAINS_PARAMS, tol)
-    if name == "bell_diagonal":
-        if len(params) != 4:
-            raise InvalidStateError("bell_diagonal requires 4 weights")
-        _check_simplex(params, tol, "bell_diagonal")
-        m = sum(w * _projector(bell_ket(k + 1)) for k, w in enumerate(params))
-        return DensityMatrix.from_matrix(m, tol)
-    if name == "vp":
-        if len(params) != 3:
-            raise InvalidStateError("vp requires 3 weights")
-        _check_simplex(params, tol, "vp")
-        l1, l2, l3 = params
-        m = l1 * _projector(bell_ket(3)) + l2 * _basis_projector(1) + l3 * _basis_projector(2)
-        return DensityMatrix.from_matrix(m, tol)
-    if name == "horodecki":
-        if len(params) != 3:
-            raise InvalidStateError("horodecki requires 3 weights")
-        _check_simplex(params, tol, "horodecki")
-        l1, l2, l3 = params
-        m = l1 * _projector(bell_ket(3)) + l2 * _basis_projector(0) + l3 * _basis_projector(3)
+    if name in _MIXTURES:
+        arity, matrices = _MIXTURES[name]
+        if len(params) != len(matrices):
+            raise InvalidStateError(f"{name} requires {arity}")
+        _check_simplex(params, tol, name)
+        m = params[0] * matrices[0]
+        for w, term in zip(params[1:], matrices[1:]):
+            m = m + w * term
         return DensityMatrix.from_matrix(m, tol)
     if name == "theorem1_example":
         if len(params) != 5:
@@ -298,30 +340,5 @@ def named_state(family: str, *params: float, tol: Tolerances | None = None) -> D
             )
         psi = np.array([0.0, alpha, beta, 0.0], dtype=complex)
         m = p * _projector(psi) + q1 * _basis_projector(1) + q2 * _basis_projector(2)
-        return DensityMatrix.from_matrix(m, tol)
-    if name == "theorem2_example":
-        if len(params) != 4:
-            raise InvalidStateError("theorem2_example requires (p1, p2, q1, q2)")
-        p1, p2, q1, q2 = params
-        _check_simplex(params, tol, "theorem2_example")
-        m = (
-            p1 * _projector(bell_ket(3))
-            + p2 * _projector(bell_ket(4))
-            + q1 * _basis_projector(0)
-            + q2 * _basis_projector(3)
-        )
-        return DensityMatrix.from_matrix(m, tol)
-    if name == "theorem3_example":
-        if len(params) != 5:
-            raise InvalidStateError("theorem3_example requires (p, q1, q2, q3, q4)")
-        p, q1, q2, q3, q4 = params
-        _check_simplex(params, tol, "theorem3_example")
-        m = (
-            p * _projector(bell_ket(3))
-            + q1 * _basis_projector(1)
-            + q2 * _basis_projector(2)
-            + q3 * _basis_projector(0)
-            + q4 * _basis_projector(3)
-        )
         return DensityMatrix.from_matrix(m, tol)
     raise InvalidStateError(f"unknown state family {family!r}")

@@ -89,3 +89,24 @@ def test_oracle_minimizer_is_a_wrappable_module_attribute(monkeypatch):
     res = oracle_ree(named_state("vp", 1.0, 0.0, 0.0), cfg)
     assert calls and set(calls) == {"Nelder-Mead"}
     assert math.log(2.0) - 1e-9 <= res.ree_upper_bound < math.log(2.0) + 1e-6
+
+
+def test_bad_override_is_not_read_at_import():
+    # a tolerance read during import would die with a traceback before
+    # cli.main could report the bad override file
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, REE_TOL_OVERRIDE="/nonexistent")
+    imported = subprocess.run(
+        [sys.executable, "-c", "import xree"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert imported.returncode == 0, imported.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "xree.cli", "compute", "--params", "0.1,0.4,0.3,0.2,0.1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: REE_TOL_OVERRIDE:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -1,0 +1,155 @@
+"""One validity rule for family states, shared by x_state, to_density_matrix
+and compute_ree, and the eigendecompositions a validated compute_ree runs."""
+
+import cmath
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import xree.qmath as qmath
+import xree.ree as ree_module
+from xree import DensityMatrix, compute_ree, named_state, to_density_matrix, x_state
+from xree.cli import EXIT_INVALID, main
+from xree.errors import InvalidStateError
+from xree.ree import BRANCH_FAILURE, BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3
+from xree.states import RAINS_PARAMS, XStateParams, from_density_matrix
+
+# d^2 = a2 a3 + 0.9e-12 lies inside the coherence slack (1e-12), but the
+# smallest eigenvalue of the matrix is about -1.8e-10, below -psd (-1e-10)
+BOUNDARY_POPULATIONS = [
+    (0.995, 0.0025, 0.0025, 0.0),
+    (0.995, 0.003, 0.002, 0.0),
+    (0.5, 0.003, 0.002, 0.495),
+]
+
+
+def boundary_d(pops):
+    return math.sqrt(pops[1] * pops[2] + 0.9e-12)
+
+
+def raw_matrix(p):
+    """The family matrix assembled entry by entry, as from_matrix receives it."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.diag()
+    coh = p.d * cmath.exp(1j * p.phi)
+    m[1, 2] = coh
+    m[2, 1] = coh.conjugate()
+    return m
+
+
+class TestBoundaryStates:
+    @pytest.mark.parametrize("pops", BOUNDARY_POPULATIONS)
+    def test_x_state_rejects_non_psd_matrix(self, pops):
+        d = boundary_d(pops)
+        with pytest.raises(InvalidStateError, match="not PSD"):
+            x_state(*pops, d)
+        # the same matrix built from outside is rejected by its eigenvalues
+        with pytest.raises(InvalidStateError, match="not PSD"):
+            DensityMatrix.from_matrix(raw_matrix(XStateParams(*pops, d)))
+
+    @pytest.mark.parametrize("pops", BOUNDARY_POPULATIONS)
+    def test_compute_ree_rejects_directly_built_params(self, pops):
+        with pytest.raises(InvalidStateError, match="not PSD"):
+            compute_ree(XStateParams(*pops, boundary_d(pops)))
+
+    def test_cli_params_exit_invalid(self, capsys):
+        pops = BOUNDARY_POPULATIONS[0]
+        text = ",".join(repr(v) for v in (*pops, boundary_d(pops)))
+        code = main(["compute", "--params", text])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix is not PSD: min eigenvalue")
+        assert captured.err.count("\n") == 1
+
+
+class TestDirectlyBuiltParams:
+    def test_trace_two_is_invalid(self):
+        with pytest.raises(InvalidStateError, match="trace"):
+            compute_ree(XStateParams(0.5, 0.5, 0.5, 0.5, 0.1))
+
+    def test_coherence_above_cap_is_invalid(self):
+        with pytest.raises(InvalidStateError, match="coherence"):
+            compute_ree(XStateParams(0.1, 0.2, 0.3, 0.4, 5.0))
+
+
+class TestMatrixIsUnchanged:
+    @pytest.mark.parametrize("phi", [0.0, -0.0, 0.7, math.pi, -math.pi / 2])
+    def test_named_phases(self, phi):
+        p = x_state(0.1, 0.4, 0.3, 0.2, 0.25, phi)
+        got = to_density_matrix(p).matrix
+        assert got.tobytes() == DensityMatrix.from_matrix(raw_matrix(p)).matrix.tobytes()
+        assert not got.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.01),
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    )
+    def test_bit_identical_to_from_matrix(self, weights, dfrac, phi):
+        # signed zeros included: tobytes tells 0.0 from -0.0
+        total = sum(weights)
+        a1, a2, a3, a4 = (w / total for w in weights)
+        p = x_state(a1, a2, a3, a4, dfrac * math.sqrt(a2 * a3), phi)
+        want = DensityMatrix.from_matrix(raw_matrix(p)).matrix
+        assert to_density_matrix(p).matrix.tobytes() == want.tobytes()
+
+
+class TestEigendecompositionCount:
+    @pytest.mark.parametrize(
+        "params, branch",
+        [
+            pytest.param(
+                lambda: from_density_matrix(named_state("vp", 0.5, 0.3, 0.2)),
+                BRANCH_THEOREM1,
+                id="theorem1",
+            ),
+            pytest.param(
+                lambda: from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15)),
+                BRANCH_THEOREM2,
+                id="theorem2",
+            ),
+            pytest.param(lambda: RAINS_PARAMS, BRANCH_THEOREM3, id="rains"),
+        ],
+    )
+    def test_three_per_validated_compute(self, monkeypatch, params, branch):
+        # the partial-transpose edge eigenvalue and the two spectra of the
+        # relative entropy; building the family matrices runs none
+        p = params()
+        calls = []
+        forward = qmath.hermitian_eig
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(qmath, "hermitian_eig", counting)
+        result = compute_ree(p)
+        assert result.branch == branch
+        assert len(calls) == 3
+
+
+class TestDiagnostics:
+    def test_theorem3_note_appears_once(self, monkeypatch):
+        note = "2 validated roots; kept minimal REE (others: 0.2)"
+        solve = ree_module.solve_theorem3
+        monkeypatch.setattr(
+            ree_module,
+            "solve_theorem3",
+            lambda p, tol=None: replace(solve(p, tol), diagnostics=note),
+        )
+        result = compute_ree(RAINS_PARAMS)
+        assert result.branch == BRANCH_THEOREM3
+        assert result.diagnostics == note
+
+    def test_failure_text_is_the_solver_text(self):
+        p = from_density_matrix(named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18))
+        result = compute_ree(p)
+        assert result.branch == BRANCH_FAILURE
+        assert result.diagnostics == ree_module.solve_theorem3(p).diagnostics
+        assert result.diagnostics.endswith("(0 brackets, 0 rejected)")
