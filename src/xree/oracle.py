@@ -53,8 +53,9 @@ class OracleConfig:
 
     num_product_terms is the mixture size K (at least 4; the default 16 is
     the Caratheodory bound for the 15-dimensional two-qubit state space).
-    max_iterations caps the objective evaluations per seed; restarts counts
-    the random seeds on top of the deterministic ones.
+    max_iterations caps the objective evaluations per seed (at least 1);
+    restarts counts the random seeds on top of the deterministic ones (0 or
+    more).
     """
 
     num_product_terms: int = 16
@@ -66,6 +67,10 @@ class OracleConfig:
     def __post_init__(self):
         if self.num_product_terms < 4:
             raise InvalidStateError("num_product_terms must be at least 4")
+        if self.max_iterations < 1:
+            raise InvalidStateError("max_iterations must be at least 1")
+        if self.restarts < 0:
+            raise InvalidStateError("restarts must not be negative")
 
 
 @dataclass(frozen=True)

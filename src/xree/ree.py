@@ -334,7 +334,9 @@ def _t3_candidates(
     r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast
     against each other: a grid of shape (G,) with sign of shape (2, 1)
     gives (2, G) arrays, one row per branch; r1 and sign of shape (K,)
-    give one entry per root. r4 and y take the shape of r1.
+    give one entry per root; r1 of shape (K, n) with sign of shape (K, 1)
+    gives one row of bisection-tree nodes per bracket. r4 and y take the
+    shape of r1.
     """
     a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
     r4 = r1 - (a1 - a4)
@@ -358,7 +360,8 @@ def _t3_equation(r1: np.ndarray, sign: np.ndarray, p: XStateParams) -> np.ndarra
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1 and sign broadcast as in _t3_candidates; f has their common shape.
+    r1 and sign broadcast as in _t3_candidates: (G,) with (2, 1), (K,) with
+    (K,), or (K, n) with (K, 1); f has their common shape.
     """
     a1, d = p.a1, p.d
     r2, r3, r4, y, ok = _t3_candidates(r1, sign, p)
@@ -373,28 +376,56 @@ def _t3_equation(r1: np.ndarray, sign: np.ndarray, p: XStateParams) -> np.ndarra
         return ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
 
 
+# bisection levels of each bracket valued by one _t3_equation call
+_TREE_DEPTH = 8
+
+
 def _bisect_t3(
     a: np.ndarray, b: np.ndarray, fa: np.ndarray, sign: np.ndarray,
     p: XStateParams, tol: Tolerances,
 ) -> np.ndarray:
     """Halve every sign-change bracket [a, b] of the reduction together.
 
-    A bracket stops once it is no wider than root_bisect_tol, and its root
-    is its midpoint. A nan value at a midpoint sets the bracket to nan,
-    which stops it and makes its root nan.
+    Each bisection step keeps the left half when fa * f(mid) <= 0 and the
+    right half otherwise. A bracket stops once it is no wider than
+    root_bisect_tol, and its root is its midpoint. A nan value at a visited
+    midpoint stops the bracket and makes its root nan.
+
+    The steps are taken _TREE_DEPTH at a time. Each active bracket grows
+    its bisection tree: the edges [a, b], then level by level the point
+    0.5 * (left + right) between each pair of neighbouring nodes. These are
+    the doubles one-at-a-time bisection computes. One _t3_equation call
+    values every node of every tree, with sign (K,) taken per bracket, and
+    each walk down a tree follows the rules above on Python floats.
     """
-    while True:
-        mid = 0.5 * (a + b)
-        active = b - a > tol.root_bisect_tol
-        if not active.any():
-            return mid
-        fm = _t3_equation(mid, sign, p)
-        left = active & (fa * fm <= 0.0)
-        right = active & ~left
-        b = np.where(left, mid, b)
-        a = np.where(right, mid, a)
-        fa = np.where(right, fm, fa)
-        a[active & np.isnan(fm)] = np.nan
+    a, b, fa = a.tolist(), b.tolist(), fa.tolist()
+    width = 1 << _TREE_DEPTH
+    steps = [width >> level for level in range(1, _TREE_DEPTH + 1)]
+    active = [k for k in range(len(a)) if b[k] - a[k] > tol.root_bisect_tol]
+    while active:
+        nodes = np.empty((len(active), width + 1))
+        nodes[:, 0] = [a[k] for k in active]
+        nodes[:, width] = [b[k] for k in active]
+        for step in steps:
+            twice = 2 * step
+            nodes[:, step::twice] = 0.5 * (nodes[:, :-step:twice] + nodes[:, twice::twice])
+        values = _t3_equation(nodes, sign[active, None], p).tolist()
+        for k, x, f in zip(active, nodes.tolist(), values):
+            lo, hi, fk = 0, width, fa[k]
+            for step in steps:
+                if not x[hi] - x[lo] > tol.root_bisect_tol:  # a nan width stops too
+                    break
+                fm = f[lo + step]
+                if fk * fm <= 0.0:
+                    hi = lo + step
+                else:
+                    lo, fk = lo + step, fm
+                    if math.isnan(fm):
+                        x[lo] = math.nan
+                        break
+            a[k], b[k], fa[k] = x[lo], x[hi], fk
+        active = [k for k in active if b[k] - a[k] > tol.root_bisect_tol]
+    return 0.5 * (np.array(a) + np.array(b))
 
 
 def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:

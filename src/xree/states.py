@@ -310,7 +310,7 @@ def named_state(family: str, *params: float, tol: Tolerances | None = None) -> D
                                          with psi = alpha |01> + beta |10>
       theorem2_example(p1, p2, q1, q2)   p1 B3 + p2 B4 + q1 |00><00| + q2 |11><11|
       theorem3_example(p, q1, q2, q3, q4)
-                                         p B3 + q1 |01> + q2 |10> + q3 |00> + q4 |11|
+                                         p B3 + q1 |01> + q2 |10> + q3 |00> + q4 |11>
       rains()                            the fixed transcendental example state
     """
     tol = tol or default_tolerances()

@@ -1,0 +1,143 @@
+"""The Theorem 3 root polish: bisection trees walked level by level.
+
+`_bisect_t3` values several bisection levels of every bracket in one
+reduction call; each root must equal plain one-step-at-a-time bisection
+bit for bit, whatever the bracket width, tolerance or nan placement.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import xree.ree as ree_module
+from xree.config import default_tolerances
+from xree.ree import BRANCH_THEOREM3, _bisect_t3, _t3_equation, solve_theorem3
+from xree.states import RAINS_PARAMS
+
+STEP_COUNTS = (1, 7, 8, 9, 31)
+
+
+def scalar_bisection(f, a, b, fa, tol):
+    """Plain bisection; returns the root and the midpoints it valued."""
+    mids = []
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        fm = f(mid)
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b), mids
+
+
+def tolerances(bisect_tol):
+    return dataclasses.replace(default_tolerances(), root_bisect_tol=bisect_tol)
+
+
+def linear(r1, sign, p):
+    return r1 - 0.3
+
+
+def rains(r1, sign, p):
+    return _t3_equation(r1, sign, RAINS_PARAMS)
+
+
+def counted(monkeypatch, reduction):
+    """Patch the reduction into ree; returns the list of r1 arrays it got."""
+    seen = []
+
+    def counting(r1, sign, p):
+        seen.append(np.array(r1))
+        return reduction(r1, sign, p)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "reduction, root, bisect_tol",
+    [
+        pytest.param(linear, 0.3, 1e-7, id="linear-1e-7"),
+        pytest.param(linear, 0.3, 1e-13, id="linear-1e-13"),
+        pytest.param(rains, 1.0 / 6.0, 1e-13, id="rains-1e-13"),
+    ],
+)
+def test_brackets_of_every_step_count_in_one_call(monkeypatch, reduction, root, bisect_tol):
+    # a width of 1.5 tol 2^(n-1) needs exactly n halvings to reach tol
+    widths = [1.5 * bisect_tol * 2.0 ** (n - 1) for n in STEP_COUNTS]
+    a = np.array([root - 0.37 * w for w in widths])
+    b = np.array([root + 0.63 * w for w in widths])
+    sign = np.ones(len(widths))
+    fa = reduction(a, sign, RAINS_PARAMS)
+    assert np.isfinite(fa).all()
+
+    def f(r):
+        return float(reduction(np.array([r]), np.array(1.0), RAINS_PARAMS)[0])
+
+    seen = counted(monkeypatch, reduction)
+    got = _bisect_t3(a, b, fa, sign, RAINS_PARAMS, tolerances(bisect_tol))
+    for k, n in enumerate(STEP_COUNTS):
+        want, mids = scalar_bisection(f, float(a[k]), float(b[k]), float(fa[k]), bisect_tol)
+        assert len(mids) == n
+        assert got[k] == want
+    # eight levels per call: 31 steps take four calls
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5)])
+def test_exact_zero_at_a_node_or_end(monkeypatch, a, b):
+    # f vanishes at the tree node 0.25; fa * f(mid) <= 0 then keeps the left half
+    monkeypatch.setattr(ree_module, "_t3_equation", lambda r1, sign, p: r1 - 0.25)
+    tol = default_tolerances()
+    got = _bisect_t3(np.array([a]), np.array([b]), np.array([a - 0.25]), np.ones(1), None, tol)
+    want, _ = scalar_bisection(lambda r: r - 0.25, a, b, a - 0.25, tol.root_bisect_tol)
+    assert got[0] == want
+
+
+def test_nan_off_the_walked_path_changes_nothing(monkeypatch):
+    # the root 0.3 lies in [0, 0.5], so the node 0.75 is valued but never visited
+    def reduction(r1, sign, p):
+        return np.where(r1 == 0.75, np.nan, r1 - 0.3)
+
+    tol = default_tolerances()
+    seen = counted(monkeypatch, reduction)
+    got = _bisect_t3(np.array([0.0]), np.array([1.0]), np.array([-0.3]), np.ones(1), None, tol)
+    want, mids = scalar_bisection(lambda r: r - 0.3, 0.0, 1.0, -0.3, tol.root_bisect_tol)
+    assert 0.75 in seen[0] and 0.75 not in mids
+    assert math.isfinite(got[0]) and got[0] == want
+
+
+@pytest.mark.parametrize("visit", [0, 2, 7, 8, 11, -1])
+def test_nan_on_the_walked_path_makes_the_root_nan(monkeypatch, visit):
+    tol = default_tolerances()
+    _, mids = scalar_bisection(lambda r: r - 0.3, 0.0, 1.0, -0.3, tol.root_bisect_tol)
+    bad = mids[visit]
+
+    def reduction(r1, sign, p):
+        return np.where(r1 == bad, np.nan, r1 - 0.3)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+    got = _bisect_t3(np.array([0.0]), np.array([1.0]), np.array([-0.3]), np.ones(1), None, tol)
+    assert math.isnan(got[0])
+
+
+def test_zero_width_bracket_returns_its_end_without_a_call(monkeypatch):
+    seen = counted(monkeypatch, linear)
+    end = 0.1 + 0.2
+    got = _bisect_t3(
+        np.array([end]), np.array([end]), np.array([end - 0.3]), np.ones(1), None,
+        default_tolerances(),
+    )
+    assert got[0] == end
+    assert seen == []
+
+
+def test_rains_solve_makes_at_most_six_reduction_calls(monkeypatch):
+    # one for the grid, four tree rounds for the 31 steps, one for the check
+    seen = counted(monkeypatch, _t3_equation)
+    result = solve_theorem3(RAINS_PARAMS)
+    assert result.branch == BRANCH_THEOREM3
+    assert len(seen) <= 6

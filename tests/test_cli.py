@@ -309,3 +309,15 @@ class TestToleranceOverride:
         bad.write_text(json.dumps([{"root_grid_points": 20000}]))
         with pytest.raises(ValueError, match="JSON object"):
             Tolerances.from_file(str(bad))
+
+
+class TestOracleBudgets:
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--iterations", "0", "max_iterations"), ("--restarts", "-3", "restarts")],
+    )
+    def test_meaningless_budget_exits_invalid(self, capsys, flag, value, field):
+        code, out, err = run_cli(capsys, "oracle", "--family", "rains", flag, value)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1

@@ -20,6 +20,7 @@ from xree import (
     to_density_matrix,
     x_state,
 )
+from xree.errors import InvalidStateError
 from xree.oracle import (
     product_mixture_matrix,
     separable_x_decomposition,
@@ -154,3 +155,17 @@ class TestOracleValidate:
         sigma = to_density_matrix(x_state(0.2, 0.3, 0.3, 0.2, 0.25, 0.7))
         off, bloch = structure_fingerprint(sigma)
         assert off < 1e-15 and bloch < 1e-15
+
+
+class TestOracleConfigBudgets:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iterations": 0}, {"max_iterations": -5}, {"restarts": -1}, {"restarts": -3}],
+    )
+    def test_meaningless_budget_rejected(self, kwargs):
+        with pytest.raises(InvalidStateError):
+            OracleConfig(**kwargs)
+
+    def test_no_random_restarts_is_allowed(self):
+        cfg = OracleConfig(restarts=0, max_iterations=1)
+        assert (cfg.restarts, cfg.max_iterations) == (0, 1)
