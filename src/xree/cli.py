@@ -120,6 +120,15 @@ def _parse_family_flag(text: str) -> XStateParams:
     return from_density_matrix(named_state(name, *weights))
 
 
+def _read_json(path: str, what: str):
+    """Load the JSON document at `path`; undecodable text is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidStateError(f"{what} document is not valid JSON: {exc}") from exc
+
+
 def _state_from_args(args) -> XStateParams:
     given = [
         flag
@@ -135,12 +144,7 @@ def _state_from_args(args) -> XStateParams:
             f"exactly one of --input/--params/--family required, got {given or 'none'}"
         )
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidStateError(f"input document is not valid JSON: {exc}")
-        return load_state_document(doc)
+        return load_state_document(_read_json(args.input, "input"))
     if args.params:
         return _parse_params_flag(args.params)
     return _parse_family_flag(args.family)
@@ -392,9 +396,26 @@ _SCAN_COLUMNS = {
 }
 
 
-def _grid_points(
-    doc: dict, cap: int
-) -> tuple[str, tuple[str, ...], list[tuple[float, ...]]]:
+def _simplex_points(p: float, split: float, steps: int) -> list[tuple[float, ...]]:
+    """Points (p, q1, q2, q3, q4) of the simplex slice at fixed p.
+
+    (q3, q4) = (i, j) (1 - p) / steps over i + j <= steps, i outer; q1 and q2
+    share the leftover weight in the ratio split : 1 - split.
+    """
+    rest = 1.0 - p
+    points = []
+    for i in range(steps + 1):
+        for j in range(steps + 1 - i):
+            q3 = rest * i / steps
+            q4 = rest * j / steps
+            leftover = rest - q3 - q4
+            q1 = max(0.0, leftover) * split
+            q2 = max(0.0, leftover) * (1.0 - split)
+            points.append((p, q1, q2, q3, q4))
+    return points
+
+
+def _grid_points(doc: dict, cap: int) -> tuple[str, list[tuple[float, ...]]]:
     """Validate a grid document and list its points, refusing more than `cap`.
 
     The count is taken from the document before any point is built, so an
@@ -404,6 +425,8 @@ def _grid_points(
     mode = doc["mode"]
     if mode == "line":
         count = doc["count"]
+    elif mode == "simplex":
+        count = (doc["steps"] + 1) * (doc["steps"] + 2) // 2
     else:
         count = math.prod(_axis_count(doc["axes"][n]) for n in _SCAN_COLUMNS[mode])
     if count > cap:
@@ -416,10 +439,12 @@ def _grid_points(
             )
             for i in range(count)
         ]
-        return "theorem3_example", _SCAN_COLUMNS["theorem3_example"], pts
-    names = _SCAN_COLUMNS[mode]
-    axes = [_axis_values(doc["axes"][n]) for n in names]
-    return mode, names, [tuple(p) for p in itertools.product(*axes)]
+    elif mode == "simplex":
+        pts = _simplex_points(doc["p"], doc["split"], doc["steps"])
+    else:
+        axes = [_axis_values(doc["axes"][n]) for n in _SCAN_COLUMNS[mode]]
+        return mode, [tuple(p) for p in itertools.product(*axes)]
+    return "theorem3_example", pts
 
 
 def _scan_state(mode: str, point: tuple[float, ...]) -> XStateParams | None:
@@ -447,15 +472,10 @@ def _scan_row(mode: str, point: tuple[float, ...]) -> str:
 
 
 def cmd_scan(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidStateError(f"grid document is not valid JSON: {exc}")
-    mode, names, points = _grid_points(doc, args.cap)
+    mode, points = _grid_points(_read_json(args.grid, "grid"), args.cap)
     rows = [_scan_row(mode, pt) for pt in points]
     skipped = sum(1 for r in rows if not r)
-    header = ",".join(names + ("branch", "ree", "residual_max"))
+    header = ",".join(_SCAN_COLUMNS[mode] + ("branch", "ree", "residual_max"))
     body = "\n".join([header] + [r for r in rows if r]) + "\n"
     _emit(body, args.out)
     if skipped:
@@ -519,12 +539,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         default_tolerances()
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: REE_TOL_OVERRIDE: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
         return args.func(args)
-    except (XreeError, FileNotFoundError, KeyError) as exc:
+    except (XreeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

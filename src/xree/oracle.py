@@ -32,6 +32,8 @@ from .states import (
 )
 
 _WEIGHT_FLOOR = 1e-12
+# Nelder-Mead fatol, and the least gain that starts another run on a seed
+_CONVERGENCE_TOL = 1e-10
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
@@ -55,13 +57,13 @@ class OracleConfig:
     the Caratheodory bound for the 15-dimensional two-qubit state space).
     max_iterations caps the objective evaluations per seed (at least 1);
     restarts counts the random seeds on top of the deterministic ones (0 or
-    more).
+    more), drawn from rng_seed. The Nelder-Mead tolerance is fixed at
+    _CONVERGENCE_TOL.
     """
 
     num_product_terms: int = 16
     restarts: int = 8
     max_iterations: int = 2000
-    convergence_tol: float = 1e-10
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -330,7 +332,7 @@ def oracle_ree(
                     "maxfev": budget,
                     "maxiter": budget,
                     "xatol": 1e-9,
-                    "fatol": cfg.convergence_tol,
+                    "fatol": _CONVERGENCE_TOL,
                     "adaptive": True,
                 },
             )
@@ -338,7 +340,7 @@ def oracle_ree(
             budget -= res.nfev
             x_cur = res.x
             converged = bool(res.success)
-            if f_prev - res.fun < max(cfg.convergence_tol, 1e-12):
+            if f_prev - res.fun < _CONVERGENCE_TOL:
                 break
             f_prev = res.fun
         end_mix = _decode(x_cur, k)

@@ -363,15 +363,21 @@ def _t3_equation(r1: np.ndarray, sign: np.ndarray, p: XStateParams) -> np.ndarra
     r1 and sign broadcast as in _t3_candidates: (G,) with (2, 1), (K,) with
     (K,), or (K, n) with (K, 1); f has their common shape.
     """
+    return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
+
+
+def _t3_reduction(
+    r1: np.ndarray, p: XStateParams, r2, r3, r4, y, ok: np.ndarray
+) -> np.ndarray:
+    """f(r1) of _t3_equation from the output of _t3_candidates; ok is not changed."""
     a1, d = p.a1, p.d
-    r2, r3, r4, y, ok = _t3_candidates(r1, sign, p)
     with np.errstate(invalid="ignore", divide="ignore"):
         u = r2 - r3
         s = r2 + r3
         w = r1 * r4
         z = np.sqrt(u * u + 4.0 * w)
         den = y * (d - y) * z * z - 2.0 * w * (r1 - a1) * s
-        ok &= (s > z) & (den != 0.0)
+        ok = ok & (s > z) & (den != 0.0)
         ell = np.log((s + z) / np.where(ok, s - z, np.nan))
         return ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
 
@@ -461,8 +467,8 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     a = grid[cells]
     b = np.where(change[rows, cells], grid[cells + 1], a)
     roots = _bisect_t3(a, b, vals[rows, cells], sign, p, tol)
-    fval = _t3_equation(roots, sign, p)
     r2, r3, r4, y, ok = _t3_candidates(roots, sign, p)
+    fval = _t3_reduction(roots, p, r2, r3, r4, y, ok)
     side = (r2 - r3) * (p.a2 - r2) + 2.0 * y * (p.d - y) - 2.0 * r2 * (roots - p.a1)
     keep = (
         (np.abs(fval) <= tol.root_value_cap)  # nan: bisection failed; large: a pole

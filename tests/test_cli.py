@@ -321,3 +321,49 @@ class TestOracleBudgets:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+class TestUnreadablePaths:
+    """A path that cannot be read or written gives one error line, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(code, err):
+        assert code == EXIT_INVALID
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("scan", "--grid", "{dir}"), id="grid-directory"),
+            pytest.param(("compute", "--input", "{dir}"), id="input-directory"),
+            pytest.param(("compute", "--family", "rains", "--out", "{dir}"), id="compute-out-directory"),
+            pytest.param(("selftest", "--out", "{dir}"), id="selftest-out-directory"),
+        ],
+    )
+    def test_directory_path(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert out == ""
+        self.assert_one_error_line(code, err)
+
+    @pytest.mark.parametrize("command, flag", [("compute", "--input"), ("scan", "--grid")])
+    def test_non_utf8_document(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"family": {"name": "r\xe4ins"}}')
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert out == ""
+        self.assert_one_error_line(code, err)
+        assert "not valid JSON" in err
+
+    def test_tolerance_override_directory(self, tmp_path, monkeypatch, capsys):
+        import xree.config as config
+
+        monkeypatch.setenv("REE_TOL_OVERRIDE", str(tmp_path))
+        config.reset_tolerance_cache()
+        try:
+            code, out, err = run_cli(capsys, "compute", "--family", "rains")
+        finally:
+            monkeypatch.delenv("REE_TOL_OVERRIDE")
+            config.reset_tolerance_cache()
+        assert out == ""
+        self.assert_one_error_line(code, err)
+        assert "REE_TOL_OVERRIDE" in err

@@ -1,0 +1,91 @@
+"""The committed scan grids and the simplex grid mode."""
+
+import json
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+import xree.cli as cli
+from xree.cli import EXIT_INVALID, EXIT_OK, SCAN_CAP_DEFAULT, _grid_points, _schema, main
+
+GRIDS = Path(__file__).resolve().parent.parent / "grids"
+FAILURE_REGION = str(GRIDS / "failure_region.json")
+
+
+def scan(capsys, *argv):
+    code = main(["scan", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_grid(tmp_path, doc):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_committed_grids_validate_and_fit_under_the_cap():
+    paths = sorted(GRIDS.glob("*.json"))
+    assert {p.name for p in paths} >= {"baseline_line.json", "failure_region.json"}
+    validator = jsonschema.Draft7Validator(_schema("scan_grid.schema.json"))
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        validator.validate(doc)
+        _grid_points(doc, SCAN_CAP_DEFAULT)  # raises above the cap
+
+
+class TestSimplex:
+    def test_failure_region_rows_follow_the_slice_formula(self, capsys):
+        code, out, _ = scan(capsys, "--grid", FAILURE_REGION)
+        assert code == EXIT_OK
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        assert lines[0] == "p,q1,q2,q3,q4,branch,ree,residual_max"
+        rows = lines[1:-1]
+        assert len(rows) == 351
+        assert rows[0] == "0.66,0.136,0.204,0,0,theorem1,0.237727944516,2.22044604925e-16"
+        p, split, steps = 0.66, 0.4, 25
+        rest = 1.0 - p
+        want = []
+        for i in range(steps + 1):
+            for j in range(steps + 1 - i):
+                q3, q4 = rest * i / steps, rest * j / steps
+                left = max(0.0, rest - q3 - q4)
+                want.append(
+                    ",".join(f"{v:.12g}" for v in (p, left * split, left * (1.0 - split), q3, q4))
+                )
+        assert [",".join(row.split(",")[:5]) for row in rows] == want
+
+    def test_rerun_byte_identical(self, capsys):
+        code1, out1, _ = scan(capsys, "--grid", FAILURE_REGION)
+        code2, out2, _ = scan(capsys, "--grid", FAILURE_REGION)
+        assert code1 == code2 == EXIT_OK
+        assert out1.count("\n") == 352 and out1 == out2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param({"p": 0.66, "split": 1.5, "steps": 25}, id="split-above-1"),
+            pytest.param({"p": -0.1, "split": 0.4, "steps": 25}, id="negative-p"),
+            pytest.param({"p": 0.66, "split": 0.4, "steps": 0}, id="zero-steps"),
+            pytest.param({"p": 0.66, "split": 0.4}, id="missing-steps"),
+            pytest.param({"p": 0.66, "split": 0.4, "steps": 25, "x": 1}, id="extra-key"),
+        ],
+    )
+    def test_schema_rejects(self, tmp_path, capsys, doc):
+        code, out, err = scan(capsys, "--grid", write_grid(tmp_path, {"mode": "simplex", **doc}))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: field ") and err.count("\n") == 1
+
+    def test_cap_checked_before_any_point(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("points built past the cap")
+
+        monkeypatch.setattr(cli, "_simplex_points", never)
+        grid = write_grid(tmp_path, {"mode": "simplex", "p": 0.5, "split": 0.5, "steps": 10**6})
+        code, out, err = scan(capsys, "--grid", grid, "--cap", "1000")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "cap of 1000" in err and err.count("\n") == 1
