@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 _ENV_VAR = "REE_TOL_OVERRIDE"
@@ -38,7 +39,6 @@ class Tolerances:
     entanglement_margin: float = 1e-14
     branch_zero: float = 1e-12
     branch_equal: float = 1e-12
-    branch_near_equal: float = 1e-8
 
     # solver internals
     series_z_switch: float = 1e-6
@@ -56,6 +56,23 @@ class Tolerances:
 
     # oracle
     oracle_support_mix: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # nan, inf and ints too large for a double all fail the bound
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"tolerance {f.name} must be a finite number, got {value!r}")
+        if not isinstance(self.root_grid_points, int) or self.root_grid_points < 1:
+            raise ValueError(
+                f"root_grid_points must be an integer >= 1, got {self.root_grid_points!r}"
+            )
+        if self.root_bisect_tol <= 0:  # bisection would never stop
+            raise ValueError(f"root_bisect_tol must be positive, got {self.root_bisect_tol!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "Tolerances":

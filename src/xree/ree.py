@@ -28,7 +28,7 @@ different structure and the result is flagged as ansatz_failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class CssSolution:
     y: float
     phi: float
     x: float
-
-    def diag(self) -> tuple[float, float, float, float]:
-        return (self.r1, self.r2, self.r3, self.r4)
 
 
 @dataclass(frozen=True)
@@ -530,31 +527,14 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     _check_state(p, tol)
     if not is_entangled(p, tol):
         return _separable_result(p)
-    diagnostics = []
     if p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
         result = solve_theorem1(p, tol)
     elif abs(p.a2 - p.a3) < tol.branch_equal:
         result = solve_theorem2(p, tol)
     else:
         result = solve_theorem3(p, tol)
-        if result.diagnostics:
-            diagnostics.append(result.diagnostics)
-        if abs(p.a2 - p.a3) < tol.branch_near_equal:
-            # near-degenerate middle block: the reduction is 0/0-prone, so
-            # record the symmetric-projection value as a cross-check
-            mid = 0.5 * (p.a2 + p.a3)
-            projected = x_state(p.a1, mid, mid, p.a4, p.d, p.phi, tol=tol)
-            try:
-                check = solve_theorem2(projected, tol)
-                if result.ree is not None and check.ree is not None:
-                    diagnostics.append(
-                        f"near-degenerate cross-check vs symmetric projection: "
-                        f"|delta ree| = {abs(result.ree - check.ree):.3e}"
-                    )
-            except (WrongBranchError, NumericalError, LogDomainError) as exc:
-                diagnostics.append(f"symmetric-projection cross-check failed: {exc}")
     if result.branch == BRANCH_FAILURE:
-        return replace(result, diagnostics="; ".join(diagnostics))
+        return result
 
     problems = []
     if result.residual_max is None or result.residual_max > tol.residual_validation:
@@ -581,11 +561,11 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             BRANCH_FAILURE,
             result.residual_max,
             "; ".join(
-                [f"{result.branch} solution failed validation"] + problems + diagnostics
+                [f"{result.branch} solution failed validation"]
+                + problems
+                + ([result.diagnostics] if result.diagnostics else [])
             ),
         )
-    if diagnostics:  # theorem3 only; it already holds the solver's note
-        result = replace(result, diagnostics="; ".join(diagnostics))
     return result
 
 

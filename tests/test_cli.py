@@ -367,3 +367,75 @@ class TestUnreadablePaths:
         assert out == ""
         self.assert_one_error_line(code, err)
         assert "REE_TOL_OVERRIDE" in err
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize(
+        "family, branch",
+        [({"name": "vp", "weights": [0.5, 0.3, 0.2]}, "theorem1"), ({"name": "rains"}, "theorem3")],
+    )
+    def test_input_document_family(self, tmp_path, capsys, family, branch):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"family": family}))
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+        assert code == EXIT_OK
+        assert json.loads(out)["branch"] == branch
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--params", "0.4,0.3,0.3"), "error: --params expects a1,a2,a3,a4,d[,phi]"),
+            (("--params", "0.1,0.4,x,0.2,0.1"), "error: --params: could not convert"),
+            (("--family", "vp:0.5,abc,0.2"), "error: --family weights: could not convert"),
+        ],
+    )
+    def test_unparsable_flag_exits_invalid(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+    def test_oracle_bits(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--family", "rains", "--bits",
+            "--seed", "7", "--restarts", "2", "--terms", "8", "--iterations", "300",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        validate_output(doc, "oracle_output.schema.json")
+        assert doc["ree_upper_bound_bits"] == doc["ree_upper_bound"] / math.log(2.0)
+
+    def test_compute_out_file(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        code, out, _ = run_cli(capsys, "compute", "--family", "rains", "--out", str(path))
+        assert code == EXIT_OK and out == ""
+        written = json.loads(path.read_text(encoding="utf-8"))
+        _, out, _ = run_cli(capsys, "compute", "--family", "rains")
+        printed = json.loads(out)
+        del written["elapsed"], printed["elapsed"]
+        assert written == printed
+
+    def test_selftest_out_file(self, tmp_path, capsys):
+        path = tmp_path / "table.txt"
+        code, out, _ = run_cli(capsys, "selftest", "--out", str(path))
+        assert code == EXIT_OK and out == ""
+        _, printed, _ = run_cli(capsys, "selftest")
+        assert path.read_text(encoding="utf-8") == printed
+
+    def test_scan_range_axes(self, tmp_path, capsys):
+        axes = {
+            "a1": {"start": 0.1, "stop": 0.9, "count": 1},  # one value: the start
+            "a2": 0.4,
+            "a3": 0.3,
+            "a4": 0.2,
+            "d": {"start": 0.0, "stop": 0.3, "count": 4},
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"mode": "raw", "axes": axes}))
+        code, out, err = run_cli(capsys, "scan", "--grid", str(path))
+        assert code == EXIT_OK and err == ""
+        rows = out.splitlines()
+        assert rows[0] == "a1,a2,a3,a4,d,branch,ree,residual_max"
+        assert [row.split(",")[:5] for row in rows[1:]] == [
+            ["0.1", "0.4", "0.3", "0.2", d] for d in ("0", "0.1", "0.2", "0.3")
+        ]

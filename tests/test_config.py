@@ -1,0 +1,86 @@
+"""Tolerance values: what an override may hold, and every knob is read."""
+
+import dataclasses
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from xree.config import Tolerances
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        pytest.param({"root_bisect_tol": 0}, id="zero-bisect-tol"),
+        pytest.param({"root_bisect_tol": -1}, id="negative-bisect-tol"),
+        pytest.param({"root_grid_points": "many"}, id="string-grid-points"),
+        pytest.param({"root_grid_points": 2.5}, id="fractional-grid-points"),
+        pytest.param({"root_grid_points": -5}, id="negative-grid-points"),
+        pytest.param({"psd": None}, id="null-psd"),
+        pytest.param({"branch_near_equal": 1e-8}, id="deleted-field"),
+    ],
+)
+def test_bad_override_exits_invalid_without_hanging(tmp_path, override):
+    # a subprocess with a timeout: a bisection that never stops fails here
+    # instead of hanging the suite
+    path = tmp_path / "tols.json"
+    path.write_text(json.dumps(override))
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xree.cli", "compute", "--family", "rains"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath, REE_TOL_OVERRIDE=str(path)),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: REE_TOL_OVERRIDE: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("root_bisect_tol", 0.0),
+        ("root_bisect_tol", -1e-13),
+        ("root_grid_points", 0),
+        ("root_grid_points", 2000.0),
+        ("root_grid_points", True),
+        ("psd", True),
+        ("psd", "1e-10"),
+        ("psd", float("nan")),
+        ("trace", float("inf")),
+        pytest.param("y_edge", 10**400, id="y_edge-int-beyond-double"),
+    ],
+)
+def test_constructor_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+def test_zero_and_negative_bounds_stay_legal():
+    tol = Tolerances(
+        residual_validation=0.0, root_value_cap=0.0, sign_residual=0.0, y_edge=-1e-3, psd=0
+    )
+    assert tol.y_edge == -1e-3
+    assert dataclasses.replace(tol, root_grid_points=1).root_grid_points == 1
+
+
+def test_every_tolerance_is_read_outside_config():
+    code = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((SRC / "xree").glob("*.py"))
+        if path.name != "config.py"
+    )
+    unread = [
+        f.name for f in dataclasses.fields(Tolerances) if not re.search(rf"\.{f.name}\b", code)
+    ]
+    assert unread == []

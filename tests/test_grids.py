@@ -89,3 +89,30 @@ class TestSimplex:
         assert code == EXIT_INVALID
         assert out == ""
         assert "cap of 1000" in err and err.count("\n") == 1
+
+
+AXES = {name: 0.1 for name in ("a1", "a2", "a3", "a4", "d")}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        pytest.param({"mode": "simplex", "p": 0.66, "split": 1.5, "steps": 25}, "split", id="simplex-split"),
+        pytest.param(
+            {"mode": "raw", "axes": {**AXES, "a1": {"start": 0.0, "stop": 1.0, "count": 0}}},
+            "axes/a1",
+            id="raw-axis-count-0",
+        ),
+        pytest.param({"mode": "bogus"}, "mode", id="unknown-mode"),
+        pytest.param(
+            {"mode": "line", "family": "theorem3_example", "from": [0.5] * 5, "to": [0.5] * 4, "count": 3},
+            "to",
+            id="line-short-to",
+        ),
+    ],
+)
+def test_schema_error_names_the_bad_field(tmp_path, capsys, doc, field):
+    code, out, err = scan(capsys, "--grid", write_grid(tmp_path, doc))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: field {field}: ") and err.count("\n") == 1
