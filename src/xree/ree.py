@@ -21,14 +21,14 @@ Three solver branches cover the family:
   theorem3:  the general case -- reduces to a single transcendental
              equation in r1, solved by a bracketing grid plus bisection.
 
-When the general branch admits no valid root, the CSS provably has a
-different structure and the result is flagged as ansatz_failure.
+Each branch scores its CSS with ree_from_css. When no root of the general
+branch was found on the grid, the result is flagged as ansatz_failure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -231,6 +231,20 @@ def ree_from_css(
     return tr_rho_ln_rho - cross
 
 
+def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> ReeResult:
+    """A branch's result for its CSS: the REE and the largest residual.
+
+    A CSS outside the domain of the logarithms fails validation.
+    """
+    try:
+        residuals = css_residuals(css, p, tol)
+        ree = ree_from_css(p, css, tol)
+    except LogDomainError as exc:
+        note = f"{branch} solution failed validation; CSS validation error: {exc}"
+        return ReeResult(None, None, BRANCH_FAILURE, None, note)
+    return ReeResult(ree, css, branch, max(abs(r) for r in residuals))
+
+
 def _multiplier(r1: float, r4: float, a1: float) -> float:
     """x = (r1 - a1)(r1 + r4)/(r1 r4), from the first coupled equation."""
     return (r1 - a1) * (r1 + r4) / (r1 * r4)
@@ -240,8 +254,8 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     """Closed-form branch for states with no outer population (a1 = a4 = 0).
 
     The CSS is the decohered middle diagonal, pi = a2 |01><01| + a3 |10><10|,
-    and REE = H(a2) - H(A+) with A+ the larger middle-block eigenvalue of
-    the input.
+    so REE = H(a2) - H(A+) with A+ the larger middle-block eigenvalue of
+    the input; ree_from_css evaluates it.
     """
     tol = tol or default_tolerances()
     if p.a1 >= tol.branch_zero or p.a4 >= tol.branch_zero:
@@ -256,10 +270,7 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     else:
         x = 2.0 * p.d / p.a2
     css = css_solution(0.0, p.a2, p.a3, 0.0, 0.0, p.phi, x)
-    a_plus, _ = input_spectrum_pair(p)
-    ree = binary_entropy(p.a2, tol) - binary_entropy(min(a_plus, 1.0), tol)
-    residuals = css_residuals(css, p, tol)
-    return ReeResult(ree, css, BRANCH_THEOREM1, max(abs(r) for r in residuals))
+    return _scored(p, css, BRANCH_THEOREM1, tol)
 
 
 def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
@@ -272,8 +283,7 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
       r4 = r1 - (a1 - a4),   r2 = r3 = a1 + a2 - r1,   y = sqrt(r1 r4)
 
     where the sign is fixed by the side condition
-    y^2 - d y + r2 (r1 - a1) = 0. The REE follows from the block-spectral
-    cross term with c+- = a2 +- d and m+- = r2 +- y.
+    y^2 - d y + r2 (r1 - a1) = 0. ree_from_css evaluates the REE.
     """
     tol = tol or default_tolerances()
     if p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
@@ -309,18 +319,8 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             f"for valid symmetric inputs: {p!r}"
         )
     _, r1, r2, r4, y = best
-    x = _multiplier(r1, r4, a1)
-    css = css_solution(r1, r2, r2, r4, y, p.phi, x)
-    omega1 = _xlnx(a1) + _xlnx(a4) + _xlnx(a2 + d) + _xlnx(a2 - d)
-    omega2 = (
-        (a1 * math.log(r1) if a1 > 0.0 else 0.0)
-        + (a4 * math.log(r4) if a4 > 0.0 else 0.0)
-        + (a2 + d) * math.log(r2 + y)
-        + ((a2 - d) * math.log(r2 - y) if a2 - d > tol.eigenvalue_clamp else 0.0)
-    )
-    ree = omega1 - omega2
-    residuals = css_residuals(css, p, tol)
-    return ReeResult(ree, css, BRANCH_THEOREM2, max(abs(r) for r in residuals))
+    css = css_solution(r1, r2, r2, r4, y, p.phi, _multiplier(r1, r4, a1))
+    return _scored(p, css, BRANCH_THEOREM2, tol)
 
 
 def _t3_candidates(
@@ -383,6 +383,15 @@ def _t3_reduction(
 _TREE_DEPTH = 8
 
 
+def _splits(a: float, b: float, tol: Tolerances) -> bool:
+    """Whether halving still narrows [a, b]; false for a nan end.
+
+    Besides a width above root_bisect_tol this needs the midpoint strictly
+    inside, which two neighbouring doubles lack.
+    """
+    return b - a > tol.root_bisect_tol and a < 0.5 * (a + b) < b
+
+
 def _bisect_t3(
     a: np.ndarray, b: np.ndarray, fa: np.ndarray, sign: np.ndarray,
     p: XStateParams, tol: Tolerances,
@@ -390,9 +399,9 @@ def _bisect_t3(
     """Halve every sign-change bracket [a, b] of the reduction together.
 
     Each bisection step keeps the left half when fa * f(mid) <= 0 and the
-    right half otherwise. A bracket stops once it is no wider than
-    root_bisect_tol, and its root is its midpoint. A nan value at a visited
-    midpoint stops the bracket and makes its root nan.
+    right half otherwise. A bracket stops once _splits is false, and its
+    root is its midpoint. A nan value at a visited midpoint stops the
+    bracket and makes its root nan.
 
     The steps are taken _TREE_DEPTH at a time. Each active bracket grows
     its bisection tree: the edges [a, b], then level by level the point
@@ -404,8 +413,8 @@ def _bisect_t3(
     a, b, fa = a.tolist(), b.tolist(), fa.tolist()
     width = 1 << _TREE_DEPTH
     steps = [width >> level for level in range(1, _TREE_DEPTH + 1)]
-    active = [k for k in range(len(a)) if b[k] - a[k] > tol.root_bisect_tol]
-    while active:
+    active = range(len(a))
+    while active := [k for k in active if _splits(a[k], b[k], tol)]:
         nodes = np.empty((len(active), width + 1))
         nodes[:, 0] = [a[k] for k in active]
         nodes[:, width] = [b[k] for k in active]
@@ -416,7 +425,7 @@ def _bisect_t3(
         for k, x, f in zip(active, nodes.tolist(), values):
             lo, hi, fk = 0, width, fa[k]
             for step in steps:
-                if not x[hi] - x[lo] > tol.root_bisect_tol:  # a nan width stops too
+                if not _splits(x[lo], x[hi], tol):
                     break
                 fm = f[lo + step]
                 if fk * fm <= 0.0:
@@ -427,7 +436,6 @@ def _bisect_t3(
                         x[lo] = math.nan
                         break
             a[k], b[k], fa[k] = x[lo], x[hi], fk
-        active = [k for k in active if b[k] - a[k] > tol.root_bisect_tol]
     return 0.5 * (np.array(a) + np.array(b))
 
 
@@ -438,8 +446,8 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     interval r1 in (a1, (1 + a1 - a4)/2). Every bisected root is validated
     against the sign side condition, the full five coupled equations, and
     PSD; when several roots survive, the one with the smallest REE wins.
-    No surviving root means the CSS is not of the conjectured form and the
-    result is ansatz_failure.
+    No surviving root means no root was found on the grid, and the result
+    is ansatz_failure.
     """
     tol = tol or default_tolerances()
     if not is_entangled(p, tol):
@@ -473,20 +481,14 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
         & ~(np.abs(side) > tol.sign_residual)
         & ~(y * y > r2 * r3 + tol.y_edge)
     )
-    accepted: list[tuple[float, CssSolution, float]] = []
+    accepted: list[ReeResult] = []
     for k in np.flatnonzero(keep):
         r1v, r2v, r3v, r4v, yv = (float(v[k]) for v in (roots, r2, r3, r4, y))
-        x = _multiplier(r1v, r4v, p.a1)
-        css = css_solution(r1v, r2v, r3v, r4v, yv, p.phi, x)
-        try:
-            residuals = css_residuals(css, p, tol)
-            ree = ree_from_css(p, css, tol)
-        except LogDomainError:
+        css = css_solution(r1v, r2v, r3v, r4v, yv, p.phi, _multiplier(r1v, r4v, p.a1))
+        scored = _scored(p, css, BRANCH_THEOREM3, tol)
+        if scored.branch == BRANCH_FAILURE or scored.residual_max > tol.residual_validation:
             continue
-        rmax = max(abs(r) for r in residuals)
-        if rmax > tol.residual_validation:
-            continue
-        accepted.append((ree, css, rmax))
+        accepted.append(scored)
     if not accepted:  # so every bracket was rejected
         return ReeResult(
             None,
@@ -497,18 +499,12 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
             f"{tol.root_grid_points} grid points per sign branch "
             f"({len(roots)} brackets, {len(roots)} rejected)",
         )
-    accepted.sort(key=lambda item: item[0])
-    ree, css, rmax = accepted[0]
-    note = ""
-    if len(accepted) > 1:
-        others = ", ".join(f"{r:.6g}" for r, _, _ in accepted[1:])
-        note = f"{len(accepted)} validated roots; kept minimal REE (others: {others})"
-    return ReeResult(ree, css, BRANCH_THEOREM3, rmax, note)
-
-
-def _separable_result(p: XStateParams) -> ReeResult:
-    css = css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0)
-    return ReeResult(0.0, css, BRANCH_SEPARABLE, 0.0)
+    accepted.sort(key=lambda result: result.ree)
+    if len(accepted) == 1:
+        return accepted[0]
+    others = ", ".join(f"{result.ree:.6g}" for result in accepted[1:])
+    note = f"{len(accepted)} validated roots; kept minimal REE (others: {others})"
+    return replace(accepted[0], diagnostics=note)
 
 
 def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
@@ -526,7 +522,8 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     tol = tol or default_tolerances()
     _check_state(p, tol)
     if not is_entangled(p, tol):
-        return _separable_result(p)
+        css = css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0)
+        return ReeResult(0.0, css, BRANCH_SEPARABLE, 0.0)
     if p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
         result = solve_theorem1(p, tol)
     elif abs(p.a2 - p.a3) < tol.branch_equal:

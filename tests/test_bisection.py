@@ -6,7 +6,11 @@ bit for bit, whatever the bracket width, tolerance or nan placement.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,3 +145,21 @@ def test_rains_solve_makes_at_most_six_reduction_calls(monkeypatch):
     result = solve_theorem3(RAINS_PARAMS)
     assert result.branch == BRANCH_THEOREM3
     assert len(seen) <= 6
+
+
+def test_tolerance_below_double_spacing_still_stops(tmp_path):
+    # below the spacing of doubles near the root the width never reaches
+    # the tolerance; the bracket stops once its midpoint lands on an end
+    override = tmp_path / "tol.json"
+    override.write_text(json.dumps({"root_bisect_tol": 1e-20}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ree_module.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "xree.cli", "compute", "--family", "rains"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path, REE_TOL_OVERRIDE=str(override)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["branch"] == BRANCH_THEOREM3
+    assert abs(doc["css"]["r1"] - 1.0 / 6.0) < 1e-9

@@ -1,5 +1,6 @@
 """Import graph: each entry point loads only the libraries its code path runs."""
 
+import ast
 import json
 import math
 import os
@@ -110,3 +111,34 @@ def test_bad_override_is_not_read_at_import():
     assert proc.stderr.startswith("error: REE_TOL_OVERRIDE:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def module_imports_never_used(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that no Name node reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_module_imports_never_used_finds_a_dead_name():
+    source = "import math, os.path\nfrom x import y as z, w\nprint(os.sep, w)\n"
+    assert module_imports_never_used(source) == ["math", "z"]
+
+
+def test_no_module_import_is_left_unused():
+    # the package re-exports its API from __init__.py, so that file is skipped
+    package = os.path.dirname(os.path.abspath(xree.__file__))
+    unused = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                dead = module_imports_never_used(fh.read())
+            if dead:
+                unused[name] = dead
+    assert unused == {}
