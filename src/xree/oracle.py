@@ -34,7 +34,10 @@ from .states import (
 _WEIGHT_FLOOR = 1e-12
 # Nelder-Mead fatol, and the least gain that starts another run on a seed
 _CONVERGENCE_TOL = 1e-10
+_NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL, "adaptive": True}
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+_KET0 = np.array([1.0, 0.0], dtype=complex)
+_KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def minimize(*args, **kwargs):
@@ -77,7 +80,13 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best separable state found and the certified upper bound it gives."""
+    """Best separable state found and the certified upper bound it gives.
+
+    converged is scipy's success flag for the winning seed's last Nelder-Mead
+    run (True if the bound is a seed's unimproved start). It is False
+    whenever the evaluation budget runs out: at the default OracleConfig,
+    every call. It does not say whether the bound is close to the REE.
+    """
 
     ree_upper_bound: float
     sigma: DensityMatrix
@@ -157,13 +166,11 @@ def separable_x_decomposition(
             kets_b.append(kb)
     else:
         e1 = e2 = e3 = e4 = 0.0
-    zero = np.array([1.0, 0.0], dtype=complex)
-    one = np.array([0.0, 1.0], dtype=complex)
     for leftover, ka, kb in (
-        (r1 - e1, zero, zero),
-        (r2 - e2, zero, one),
-        (r3 - e3, one, zero),
-        (r4 - e4, one, one),
+        (r1 - e1, _KET0, _KET0),
+        (r2 - e2, _KET0, _KET1),
+        (r3 - e3, _KET1, _KET0),
+        (r4 - e4, _KET1, _KET1),
     ):
         if leftover > tol.eigenvalue_clamp:
             weights.append(leftover)
@@ -181,10 +188,9 @@ def _pad_mixture(weights, kets_a, kets_b, k_terms: int):
     if n == k_terms:
         return np.asarray(weights, float), np.asarray(kets_a), np.asarray(kets_b)
     pad = k_terms - n
-    zero = np.array([1.0, 0.0], dtype=complex)
     w = np.concatenate([np.asarray(weights, float), np.zeros(pad)])
-    a = np.concatenate([np.asarray(kets_a), np.tile(zero, (pad, 1))])
-    b = np.concatenate([np.asarray(kets_b), np.tile(zero, (pad, 1))])
+    a = np.concatenate([np.asarray(kets_a), np.tile(_KET0, (pad, 1))])
+    b = np.concatenate([np.asarray(kets_b), np.tile(_KET0, (pad, 1))])
     return w, a, b
 
 
@@ -201,21 +207,20 @@ def _encode(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) -> np.n
 
 
 def _decode(x: np.ndarray, k_terms: int):
+    """Weights and both qubits' kets; x[K:] is read as (qubit, theta/phi, term).
+
+    Bit-identical to stacking [cos(theta/2), sin(theta/2) exp(i phi)] per
+    qubit; the seeded oracle's output bytes depend on that.
+    """
     logits = x[:k_terms]
-    shifted = logits - logits.max()
-    w = np.exp(shifted)
+    w = np.exp(logits - logits.max())
     w /= w.sum()
-    theta_a = x[k_terms : 2 * k_terms]
-    phi_a = x[2 * k_terms : 3 * k_terms]
-    theta_b = x[3 * k_terms : 4 * k_terms]
-    phi_b = x[4 * k_terms : 5 * k_terms]
-    kets_a = np.stack(
-        [np.cos(theta_a / 2.0), np.sin(theta_a / 2.0) * np.exp(1j * phi_a)], axis=1
-    )
-    kets_b = np.stack(
-        [np.cos(theta_b / 2.0), np.sin(theta_b / 2.0) * np.exp(1j * phi_b)], axis=1
-    )
-    return w, kets_a, kets_b
+    angles = x[k_terms:].reshape(2, 2, k_terms)
+    half = angles[:, 0] / 2.0
+    kets = np.empty((2, k_terms, 2), complex)
+    kets[:, :, 0] = np.cos(half)
+    kets[:, :, 1] = np.sin(half) * np.exp(1j * angles[:, 1])
+    return w, kets[0], kets[1]
 
 
 def _closed_form_for(rho: DensityMatrix, tol: Tolerances) -> ReeResult | None:
@@ -234,9 +239,7 @@ def _deterministic_mixtures(rho, closed, tol):
         mixtures.append(separable_x_decomposition(css_params, tol))
     diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
     diag = diag / diag.sum()
-    zero = np.array([1.0, 0.0], dtype=complex)
-    one = np.array([0.0, 1.0], dtype=complex)
-    basis = [(zero, zero), (zero, one), (one, zero), (one, one)]
+    basis = [(_KET0, _KET0), (_KET0, _KET1), (_KET1, _KET0), (_KET1, _KET1)]
     keep = [(w, a, b) for w, (a, b) in zip(diag, basis) if w > 0.0]
     mixtures.append(
         (
@@ -286,8 +289,9 @@ def oracle_ree(
     eye_mix = mix * np.eye(4) / 4.0
 
     def objective(x: np.ndarray) -> float:
-        w, ka, kb = _decode(x, k)
-        sigma = (1.0 - mix) * product_mixture_matrix(w, ka, kb) + eye_mix
+        sigma = product_mixture_matrix(*_decode(x, k))
+        sigma *= 1.0 - mix
+        sigma += eye_mix
         vals, vecs = np.linalg.eigh(sigma)
         quad = np.real(np.einsum("ij,ij->j", vecs.conj(), rm @ vecs))
         return tr_rho_ln_rho - float(np.log(np.maximum(vals, 1e-300)) @ quad)
@@ -328,13 +332,7 @@ def oracle_ree(
                 objective,
                 x_cur,
                 method="Nelder-Mead",
-                options={
-                    "maxfev": budget,
-                    "maxiter": budget,
-                    "xatol": 1e-9,
-                    "fatol": _CONVERGENCE_TOL,
-                    "adaptive": True,
-                },
+                options={"maxfev": budget, "maxiter": budget, **_NELDER_MEAD},
             )
             nfev += res.nfev
             budget -= res.nfev

@@ -1,5 +1,6 @@
 """Brute-force oracle: feasibility, determinism, warm starts, fingerprints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from xree import (
 )
 from xree.errors import InvalidStateError
 from xree.oracle import (
+    _decode,
     product_mixture_matrix,
     separable_x_decomposition,
     structure_fingerprint,
@@ -105,6 +107,38 @@ class TestOracleRee:
         assert a.restart_best_index == b.restart_best_index
         assert a.iterations_used == b.iterations_used
 
+    # The 300-evaluation bound is still the same at 1000 evaluations, so it
+    # does not see a last-bit change in the objective (such as the einsum
+    # quadratic form written as a sum); the 2000-evaluation bound does.
+    @pytest.mark.parametrize(
+        "iterations, bound, digest",
+        [
+            pytest.param(
+                300,
+                "0x1.0a97411797678p-3",
+                "3711ce4cf51831daba3c02065166f72c631c6aac5417f213ce97ac19b654379e",
+                id="300",
+            ),
+            pytest.param(
+                2000,
+                "0x1.0a974117935dcp-3",
+                "b347b78207a3bd5534ddc6d6b467814764f3196d99c6b8c45f09deed014f1d06",
+                id="2000",
+            ),
+        ],
+    )
+    def test_seeded_bits_are_pinned(self, iterations, bound, digest):
+        cfg = OracleConfig(
+            num_product_terms=8, restarts=2, max_iterations=iterations, rng_seed=7
+        )
+        result = oracle_ree(to_density_matrix(RAINS_PARAMS), cfg)
+        assert result.ree_upper_bound.hex() == bound
+        assert result.iterations_used == iterations
+        assert result.restart_best_index == 0
+        mixture = hashlib.sha256(result.weights.tobytes())
+        mixture.update(result.qubit_a.tobytes() + result.qubit_b.tobytes())
+        assert mixture.hexdigest() == digest
+
     def test_sigma_feasibility(self):
         rng = np.random.default_rng(101)
         for _ in range(4):
@@ -126,6 +160,37 @@ class TestOracleRee:
     def test_min_terms_enforced(self):
         with pytest.raises(Exception):
             OracleConfig(num_product_terms=3)
+
+
+def _decode_per_qubit(x, k):
+    """The per-qubit np.stack formula that _decode must reproduce bit for bit."""
+    logits = x[:k]
+    shifted = logits - logits.max()
+    w = np.exp(shifted)
+    w /= w.sum()
+    kets = []
+    for start in (k, 3 * k):
+        theta, phi = x[start : start + k], x[start + k : start + 2 * k]
+        kets.append(
+            np.stack([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)], axis=1)
+        )
+    return w, kets[0], kets[1]
+
+
+class TestDecode:
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_bit_identical_to_per_qubit_stack(self, k):
+        rng = np.random.default_rng(1005)
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+            for _ in range(50):
+                x = rng.normal(0.0, scale, 5 * k)
+                for start in (k, 3 * k):
+                    x[start : start + 3] = (0.0, math.pi, 2.0 * math.pi)
+                    x[start + k : start + k + 3] = -np.abs(x[start + k : start + k + 3])
+                for got, want in zip(_decode(x, k), _decode_per_qubit(x, k)):
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestOracleValidate:
