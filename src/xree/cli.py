@@ -27,6 +27,7 @@ from .ree import (
     ReeResult,
     closed_form_family_ree,
     compute_ree,
+    compute_ree_many,
     css_to_density_matrix,
     ree_from_css,
 )
@@ -208,7 +209,7 @@ def cmd_compute(args) -> int:
         "css": None,
         "css_matrix": None,
         "residual_max": result.residual_max,
-        "edge_min_eig": None,
+        "edge_min_eig": result.edge_min_eig,
         "diagnostics": result.diagnostics,
         "elapsed": elapsed,
     }
@@ -220,9 +221,7 @@ def cmd_compute(args) -> int:
             "r1": c.r1, "r2": c.r2, "r3": c.r3, "r4": c.r4,
             "y": c.y, "phi": c.phi, "x": c.x,
         }
-        pi = css_to_density_matrix(c)
-        doc["css_matrix"] = _matrix_to_pairs(pi.matrix)
-        doc["edge_min_eig"] = min_eig_pt(pi)
+        doc["css_matrix"] = _matrix_to_pairs(css_to_density_matrix(c).matrix)
     if args.oracle:
         cfg = _oracle_config_from_args(args)
         val = oracle_validate(params, result, cfg)
@@ -459,12 +458,8 @@ def _scan_state(mode: str, point: tuple[float, ...]) -> XStateParams | None:
         return None
 
 
-def _scan_row(mode: str, point: tuple[float, ...]) -> str:
+def _scan_row(point: tuple[float, ...], result: ReeResult) -> str:
     cells = [f"{v:.12g}" for v in point]
-    state = _scan_state(mode, point)
-    if state is None:
-        return ""
-    result = compute_ree(state)
     cells.append(result.branch)
     cells.append("" if result.ree is None else f"{result.ree:.12g}")
     cells.append("" if result.residual_max is None else f"{result.residual_max:.12g}")
@@ -473,10 +468,13 @@ def _scan_row(mode: str, point: tuple[float, ...]) -> str:
 
 def cmd_scan(args) -> int:
     mode, points = _grid_points(_read_json(args.grid, "grid"), args.cap)
-    rows = [_scan_row(mode, pt) for pt in points]
-    skipped = sum(1 for r in rows if not r)
+    states = [_scan_state(mode, pt) for pt in points]
+    kept = [(pt, state) for pt, state in zip(points, states) if state is not None]
+    results = compute_ree_many([state for _, state in kept])
+    rows = [_scan_row(pt, result) for (pt, _), result in zip(kept, results)]
+    skipped = len(points) - len(kept)
     header = ",".join(_SCAN_COLUMNS[mode] + ("branch", "ree", "residual_max"))
-    body = "\n".join([header] + [r for r in rows if r]) + "\n"
+    body = "\n".join([header] + rows) + "\n"
     _emit(body, args.out)
     if skipped:
         print(f"warning: skipped {skipped} infeasible grid points", file=sys.stderr)

@@ -20,9 +20,10 @@ DIM = 4
 LN2 = math.log(2.0)
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, stack: bool = False) -> np.ndarray:
+    """m as a complex (4, 4) array; with stack, an (n, 4, 4) stack also passes."""
     a = np.asarray(getattr(m, "matrix", m), dtype=complex)
-    if a.shape != (DIM, DIM):
+    if a.shape[-2:] != (DIM, DIM) or a.ndim != 2 and not (stack and a.ndim == 3):
         raise InvalidStateError(f"expected a 4x4 matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidStateError("matrix has a non-finite (nan or inf) entry")
@@ -72,19 +73,23 @@ class EigenSystem:
 def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
     """Eigendecomposition of a 4x4 Hermitian matrix by LAPACK (np.linalg.eigh).
 
-    The input is symmetrized as (m + m^dag)/2 first. Raises NumericalError
-    if LAPACK does not converge.
+    The input is symmetrized as (m + m^dag)/2 first. A stack (n, 4, 4) is
+    decomposed in one call and gives values (n, 4) and vectors (n, 4, 4),
+    each matrix's bit for bit those of its own call; a non-finite or
+    non-Hermitian member fails the whole stack. Raises NumericalError if
+    LAPACK does not converge.
     """
     tol = tol or default_tolerances()
-    a = _as_matrix(m)
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    a = _as_matrix(m, stack=True)
+    a_dag = np.swapaxes(a, -1, -2).conj()
+    dev = float(np.max(np.abs(a - a_dag), initial=0.0))
     if dev > tol.eig_hermitian_pre:
         raise InvalidStateError(
             f"input is not Hermitian within {tol.eig_hermitian_pre:.1e}: "
             f"deviation {dev:.3e}"
         )
     try:
-        values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+        values, vectors = np.linalg.eigh(0.5 * (a + a_dag))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     return EigenSystem(values=values, vectors=vectors)
@@ -116,11 +121,18 @@ def relative_entropy(
     """
     tol = tol or default_tolerances()
     rm = _as_matrix(rho)
-    eig_r = hermitian_eig(rm, tol)
-    tr_rho_ln_rho = sum(
-        _xlnx(lam) for lam in eig_r.values if lam > tol.eigenvalue_clamp
+    return _relative_entropy_eig(
+        rm, hermitian_eig(rm, tol).values, hermitian_eig(sigma, tol), tol
     )
-    eig_s = hermitian_eig(sigma, tol)
+
+
+def _relative_entropy_eig(
+    rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem, tol: Tolerances
+) -> float:
+    """relative_entropy from rho's matrix and spectrum and sigma's eigensystem."""
+    tr_rho_ln_rho = sum(
+        _xlnx(lam) for lam in rho_values if lam > tol.eigenvalue_clamp
+    )
     cross = 0.0
     for j in range(DIM):
         lam = eig_s.values[j]

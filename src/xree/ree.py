@@ -23,18 +23,28 @@ Three solver branches cover the family:
 
 Each branch scores its CSS with ree_from_css. When no root of the general
 branch was found on the grid, the result is flagged as ansatz_failure.
+
+compute_ree_many takes a list of states and compute_ree is its one-state
+call. The list runs CHUNK states at a time. Validity checks, dispatch, the
+theorem1/2 solvers and each state's Theorem 3 grid run state by state;
+the Theorem 3 brackets of all states of a chunk are bisected together, in
+one reduction call per tree round, and the chunk's validation
+decomposes every matrix it needs in one stacked eigendecomposition. Each
+result is bit for bit what the state gives alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
-from .qmath import _xlnx, binary_entropy, min_eig_pt, relative_entropy
+from . import qmath
+from .qmath import EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy, partial_transpose
 from .states import (
     XStateParams, _check_simplex, _check_state, input_spectrum_pair, is_entangled,
     to_density_matrix, x_state,
@@ -62,13 +72,19 @@ class CssSolution:
 
 @dataclass(frozen=True)
 class ReeResult:
-    """REE in nats plus the CSS and diagnostics for one input state."""
+    """REE in nats plus the CSS and diagnostics for one input state.
+
+    edge_min_eig is the smallest eigenvalue of the partial transpose of the
+    CSS (for a separable input, of the state itself), as the validation
+    measured it; None when there is no CSS.
+    """
 
     ree: float | None
     css: CssSolution | None
     branch: str
     residual_max: float | None
     diagnostics: str = ""
+    edge_min_eig: float | None = None
 
 
 def css_solution(
@@ -323,8 +339,41 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     return _scored(p, css, BRANCH_THEOREM2, tol)
 
 
+class _T3Constants(NamedTuple):
+    """A state's numbers in the reduction.
+
+    Python floats for one state, or (K, 1) columns with one bracket's state
+    per row. Either way they are formed on Python floats: x ** 2 there
+    calls the C library's pow, which on some doubles differs in the last
+    bit from numpy's x * x.
+    """
+
+    a1: float
+    a1_minus_a4: float
+    d: float
+    d16: float
+    r1_slope: float
+    gamma0: float
+    r2_base: float
+    r3_base: float
+
+
+def _t3_constants(p: XStateParams) -> _T3Constants:
+    a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
+    return _T3Constants(
+        a1,
+        a1 - a4,
+        d,
+        16.0 * d,
+        8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4),
+        (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3),
+        4.0 * a1 + 3.0 * a2 + a3,
+        4.0 * a1 + a2 + 3.0 * a3,
+    )
+
+
 def _t3_candidates(
-    r1: np.ndarray, sign: np.ndarray, p: XStateParams
+    r1: np.ndarray, sign: np.ndarray, p: XStateParams | _T3Constants
 ) -> tuple[np.ndarray, ...]:
     """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
 
@@ -332,39 +381,38 @@ def _t3_candidates(
     against each other: a grid of shape (G,) with sign of shape (2, 1)
     gives (2, G) arrays, one row per branch; r1 and sign of shape (K,)
     give one entry per root; r1 of shape (K, n) with sign of shape (K, 1)
-    gives one row of bisection-tree nodes per bracket. r4 and y take the
-    shape of r1.
+    gives one row of bisection-tree nodes per bracket, and p may then be
+    _T3Constants columns, one state per bracket. r4 and y take the shape
+    of r1.
     """
-    a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
-    r4 = r1 - (a1 - a4)
+    c = p if isinstance(p, _T3Constants) else _t3_constants(p)
+    r4 = r1 - c.a1_minus_a4
     w = r1 * r4
     y = np.sqrt(np.where(w > 0.0, w, 0.0))
-    gamma = (
-        16.0 * d * y
-        - 8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4) * r1
-        + ((a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3))
-    )
+    gamma = c.d16 * y - c.r1_slope * r1 + c.gamma0
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
-    r2 = 0.25 * ((4.0 * a1 + 3.0 * a2 + a3) - 4.0 * r1 + sign * root)
-    r3 = 0.25 * ((4.0 * a1 + a2 + 3.0 * a3) - 4.0 * r1 - sign * root)
-    ok = (r1 > a1) & (r4 > 0.0) & (gamma >= 0.0) & (r2 > 0.0) & (r3 > 0.0)
+    r2 = 0.25 * (c.r2_base - 4.0 * r1 + sign * root)
+    r3 = 0.25 * (c.r3_base - 4.0 * r1 - sign * root)
+    ok = (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0) & (r2 > 0.0) & (r3 > 0.0)
     return r2, r3, r4, y, ok
 
 
-def _t3_equation(r1: np.ndarray, sign: np.ndarray, p: XStateParams) -> np.ndarray:
+def _t3_equation(
+    r1: np.ndarray, sign: np.ndarray, p: XStateParams | _T3Constants
+) -> np.ndarray:
     """The one-variable reduction f(r1); nan where the candidate is infeasible.
 
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1 and sign broadcast as in _t3_candidates: (G,) with (2, 1), (K,) with
-    (K,), or (K, n) with (K, 1); f has their common shape.
+    r1, sign and p broadcast as in _t3_candidates: (G,) with (2, 1), (K,)
+    with (K,), or (K, n) with (K, 1); f has their common shape.
     """
     return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
 
 
 def _t3_reduction(
-    r1: np.ndarray, p: XStateParams, r2, r3, r4, y, ok: np.ndarray
+    r1: np.ndarray, p: XStateParams | _T3Constants, r2, r3, r4, y, ok: np.ndarray
 ) -> np.ndarray:
     """f(r1) of _t3_equation from the output of _t3_candidates; ok is not changed."""
     a1, d = p.a1, p.d
@@ -381,83 +429,107 @@ def _t3_reduction(
 
 # bisection levels of each bracket valued by one _t3_equation call
 _TREE_DEPTH = 8
+_TREE_WIDTH = 1 << _TREE_DEPTH
+# the inner node m = 1 .. width - 1 of a bisection tree is the midpoint of
+# [m - h, m + h], h the lowest set bit of m
+_TREE_HALF = np.arange(1, _TREE_WIDTH) & -np.arange(1, _TREE_WIDTH)
+_TREE_LO = np.arange(1, _TREE_WIDTH) - _TREE_HALF
+_TREE_HI = np.arange(1, _TREE_WIDTH) + _TREE_HALF
 
 
-def _splits(a: float, b: float, tol: Tolerances) -> bool:
+def _tree_end(lo, hi):
+    """A walk's final bracket [lo, hi] of tree node indices, as one integer."""
+    return lo * (2 * _TREE_WIDTH) + hi
+
+
+# the tree's unit intervals [j, j + 1], then for each level, deepest first,
+# its h and the ends [m - h, m + h] and [m, m + h] of its nodes m = h, 3h, ...
+_TREE_UNITS = _tree_end(np.arange(_TREE_WIDTH), np.arange(1, _TREE_WIDTH + 1))
+_TREE_LEVELS = [
+    (h, _tree_end(m - h, m + h), _tree_end(m, m + h))
+    for h in (1 << k for k in range(_TREE_DEPTH))
+    for m in [np.arange(h, _TREE_WIDTH, 2 * h)]
+]
+
+
+def _splits(a, b, tol: Tolerances):
     """Whether halving still narrows [a, b]; false for a nan end.
 
     Besides a width above root_bisect_tol this needs the midpoint strictly
-    inside, which two neighbouring doubles lack.
+    inside, which two neighbouring doubles lack. a and b may be arrays.
     """
-    return b - a > tol.root_bisect_tol and a < 0.5 * (a + b) < b
+    mid = 0.5 * (a + b)
+    return (b - a > tol.root_bisect_tol) & (a < mid) & (mid < b)
 
 
 def _bisect_t3(
     a: np.ndarray, b: np.ndarray, fa: np.ndarray, sign: np.ndarray,
-    p: XStateParams, tol: Tolerances,
+    p: XStateParams | _T3Constants, tol: Tolerances,
 ) -> np.ndarray:
     """Halve every sign-change bracket [a, b] of the reduction together.
 
     Each bisection step keeps the left half when fa * f(mid) <= 0 and the
     right half otherwise. A bracket stops once _splits is false, and its
     root is its midpoint. A nan value at a visited midpoint stops the
-    bracket and makes its root nan.
+    bracket and makes its root nan. p is one state for every bracket, or
+    _T3Constants columns with one state per bracket.
 
     The steps are taken _TREE_DEPTH at a time. Each active bracket grows
     its bisection tree: the edges [a, b], then level by level the point
     0.5 * (left + right) between each pair of neighbouring nodes. These are
     the doubles one-at-a-time bisection computes. One _t3_equation call
-    values every node of every tree, with sign (K,) taken per bracket, and
-    each walk down a tree follows the rules above on Python floats.
+    values every node of every tree, with sign (K,) taken per bracket.
+    A walk that reaches an inner node has valued f at the node's left end
+    (fa at the tree's left edge), so each node's step is known before the
+    walk: array operations over all trees apply the rules above to every
+    node, and the walks then follow these steps down the trees together.
     """
-    a, b, fa = a.tolist(), b.tolist(), fa.tolist()
-    width = 1 << _TREE_DEPTH
-    steps = [width >> level for level in range(1, _TREE_DEPTH + 1)]
-    active = range(len(a))
-    while active := [k for k in active if _splits(a[k], b[k], tol)]:
-        nodes = np.empty((len(active), width + 1))
-        nodes[:, 0] = [a[k] for k in active]
-        nodes[:, width] = [b[k] for k in active]
+    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
+    per_bracket = isinstance(p, _T3Constants)
+    steps = [_TREE_WIDTH >> level for level in range(1, _TREE_DEPTH + 1)]
+    active = np.arange(len(a))
+    while (active := active[_splits(a[active], b[active], tol)]).size:
+        rows = np.arange(active.size)
+        nodes = np.empty((active.size, _TREE_WIDTH + 1))
+        nodes[:, 0] = a[active]
+        nodes[:, _TREE_WIDTH] = b[active]
         for step in steps:
             twice = 2 * step
             nodes[:, step::twice] = 0.5 * (nodes[:, :-step:twice] + nodes[:, twice::twice])
-        values = _t3_equation(nodes, sign[active, None], p).tolist()
-        for k, x, f in zip(active, nodes.tolist(), values):
-            lo, hi, fk = 0, width, fa[k]
-            for step in steps:
-                if not _splits(x[lo], x[hi], tol):
-                    break
-                fm = f[lo + step]
-                if fk * fm <= 0.0:
-                    hi = lo + step
-                else:
-                    lo, fk = lo + step, fm
-                    if math.isnan(fm):
-                        x[lo] = math.nan
-                        break
-            a[k], b[k], fa[k] = x[lo], x[hi], fk
-    return 0.5 * (np.array(a) + np.array(b))
+        q = _T3Constants(*(c[active] for c in p)) if per_bracket else p
+        f = _t3_equation(nodes, sign[active, None], q)
+        x_lo, x_mid, x_hi = nodes[:, _TREE_LO], nodes[:, 1:-1], nodes[:, _TREE_HI]
+        f_lo, f_mid = f[:, _TREE_LO], f[:, 1:-1]
+        f_lo[:, _TREE_LO == 0] = fa[active, None]
+        # Python floats multiply 0 * inf and overflow without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            right = ~(f_lo * f_mid <= 0.0)
+        splits = (x_hi - x_lo > tol.root_bisect_tol) & (x_lo < x_mid) & (x_mid < x_hi)
+        # a walk reaching node m stops there (0), ends in the walk of its left
+        # (1) or right (3) child, or moves onto a nan value at m and ends (2)
+        code = 2 * (splits & right) + (splits & ~np.isnan(f_mid))
+        ends = _TREE_UNITS
+        for h, stop, onto_nan in _TREE_LEVELS:
+            ends = code[:, h - 1 :: 2 * h].choose((stop, ends[..., ::2], onto_nan, ends[..., 1::2]))
+        lo, hi = np.divmod(ends[:, 0], 2 * _TREE_WIDTH)
+        lost = (lo > 0) & np.isnan(f[rows, lo])
+        a[active] = np.where(lost, np.nan, nodes[rows, lo])
+        b[active] = nodes[rows, hi]
+        fa[active] = np.where(lo > 0, f[rows, lo], fa[active])
+    return 0.5 * (a + b)
 
 
-def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
-    """General branch: bracketing grid plus bisection on the reduction.
+def _t3_brackets(p: XStateParams, tol: Tolerances):
+    """The sign-change brackets (a, b, fa, sign) of one state's root grid.
 
-    Both quadratic sign branches for (r2, r3) are scanned over the feasible
-    interval r1 in (a1, (1 + a1 - a4)/2). Every bisected root is validated
-    against the sign side condition, the full five coupled equations, and
-    PSD; when several roots survive, the one with the smallest REE wins.
-    No surviving root means no root was found on the grid, and the result
-    is ansatz_failure.
+    None when the feasible r1 interval is empty.
     """
-    tol = tol or default_tolerances()
     if not is_entangled(p, tol):
         raise WrongBranchError("theorem3 requires an entangled input")
     lo = p.a1 + 1e-12
     hi = 0.5 * (1.0 + p.a1 - p.a4)
     if hi <= lo:
-        return ReeResult(
-            None, None, BRANCH_FAILURE, None, "empty feasible interval for r1"
-        )
+        return None
     grid = np.linspace(lo, hi, tol.root_grid_points)
     signs = np.array([[1.0], [-1.0]])
     vals = _t3_equation(grid, signs, p)
@@ -467,11 +539,16 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     both = finite[:, :-1] & finite[:, 1:]
     change = both & (vals[:, :-1] * vals[:, 1:] < 0.0)
     rows, cells = np.nonzero(change | (both & (vals[:, :-1] == 0.0)))
-    sign = signs[rows, 0]
     # a zero-width bracket [r, r] is not bisected and returns its root r
     a = grid[cells]
     b = np.where(change[rows, cells], grid[cells + 1], a)
-    roots = _bisect_t3(a, b, vals[rows, cells], sign, p, tol)
+    return a, b, vals[rows, cells], signs[rows, 0]
+
+
+def _t3_result(
+    p: XStateParams, roots: np.ndarray, sign: np.ndarray, tol: Tolerances
+) -> ReeResult:
+    """Filter and score one state's polished roots; the least REE wins."""
     r2, r3, r4, y, ok = _t3_candidates(roots, sign, p)
     fval = _t3_reduction(roots, p, r2, r3, r4, y, ok)
     side = (r2 - r3) * (p.a2 - r2) + 2.0 * y * (p.d - y) - 2.0 * r2 * (roots - p.a1)
@@ -507,10 +584,57 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     return replace(accepted[0], diagnostics=note)
 
 
+def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
+    """solve_theorem3 of each state, all their brackets in one _bisect_t3 call."""
+    found = [_t3_brackets(p, tol) for p in ps]
+    counts = [0 if f is None else len(f[0]) for f in found]
+    a, b, fa, sign = (
+        np.concatenate([np.empty(0)] + [f[j] for f in found if f is not None])
+        for j in range(4)
+    )
+    states = np.array([_t3_constants(p) for p in ps], dtype=float)
+    columns = np.repeat(states.reshape(len(ps), -1), counts, axis=0).T[..., None]
+    roots = _bisect_t3(a, b, fa, sign, _T3Constants(*columns), tol)
+    results = []
+    for p, f, end, n in zip(ps, found, np.cumsum(counts), counts):
+        if f is None:
+            results.append(
+                ReeResult(None, None, BRANCH_FAILURE, None, "empty feasible interval for r1")
+            )
+        else:
+            results.append(_t3_result(p, roots[end - n : end], f[3], tol))
+    return results
+
+
+def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
+    """General branch: bracketing grid plus bisection on the reduction.
+
+    Both quadratic sign branches for (r2, r3) are scanned over the feasible
+    interval r1 in (a1, (1 + a1 - a4)/2). Every bisected root is validated
+    against the sign side condition, the full five coupled equations, and
+    PSD; when several roots survive, the one with the smallest REE wins.
+    No surviving root means no root was found on the grid, and the result
+    is ansatz_failure.
+    """
+    return _solve_theorem3_many([p], tol or default_tolerances())[0]
+
+
+# states per batch of compute_ree_many; bounds the bisection-tree arrays
+CHUNK = 64
+
+
 def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     """Dispatch on the branch preconditions and validate the result.
 
-    The input must pass the family's validity rule (states._check_state),
+    The one-state call of compute_ree_many.
+    """
+    return compute_ree_many([p], tol)[0]
+
+
+def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
+    """compute_ree of each state, in order.
+
+    Every input must pass the family's validity rule (states._check_state),
     so a directly built XStateParams is checked like one from x_state.
     Separable inputs return REE = 0 with the state as its own CSS. For
     entangled inputs the branch solution is accepted only if the five
@@ -518,52 +642,106 @@ def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     transpose, and the agreement between the parametric REE and the
     spectral relative entropy all pass; otherwise the result is downgraded
     to ansatz_failure with diagnostics.
+
+    The states run CHUNK at a time. Dispatch and the theorem1/2 solvers
+    run per state; every Theorem 3 bracket of a chunk is polished in one
+    _bisect_t3 call, and the chunk's validation decomposes all its
+    matrices in one stacked hermitian_eig call. A result does not depend
+    on the other states in the list.
     """
     tol = tol or default_tolerances()
-    _check_state(p, tol)
-    if not is_entangled(p, tol):
-        css = css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0)
-        return ReeResult(0.0, css, BRANCH_SEPARABLE, 0.0)
-    if p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
-        result = solve_theorem1(p, tol)
-    elif abs(p.a2 - p.a3) < tol.branch_equal:
-        result = solve_theorem2(p, tol)
-    else:
-        result = solve_theorem3(p, tol)
-    if result.branch == BRANCH_FAILURE:
-        return result
+    params = list(params)
+    for p in params:
+        _check_state(p, tol)
+    results: list[ReeResult] = []
+    for start in range(0, len(params), CHUNK):
+        results += _compute_chunk(params[start : start + CHUNK], tol)
+    return results
 
-    problems = []
-    if result.residual_max is None or result.residual_max > tol.residual_validation:
-        problems.append(f"coupled-equation residual {result.residual_max!r}")
-    css = result.css
-    if abs(css.y - math.sqrt(css.r1 * css.r4)) > tol.y_edge:
-        problems.append(f"edge condition y = sqrt(r1 r4) violated by {css.y!r}")
-    try:
-        pi = css_to_density_matrix(css, tol)
-        edge = min_eig_pt(pi, tol)
-        if abs(edge) > tol.edge_validation:
-            problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
-        dual = relative_entropy(to_density_matrix(p, tol), pi, tol)
-        if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
-            problems.append(
-                f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"
+
+def _compute_chunk(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
+    results: list[ReeResult | None] = []
+    general = []
+    for p in ps:
+        if not is_entangled(p, tol):
+            css = css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0)
+            results.append(ReeResult(0.0, css, BRANCH_SEPARABLE, 0.0))
+        elif p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
+            results.append(solve_theorem1(p, tol))
+        elif abs(p.a2 - p.a3) < tol.branch_equal:
+            results.append(solve_theorem2(p, tol))
+        else:
+            general.append(len(results))
+            results.append(None)
+    solved = _solve_theorem3_many([ps[i] for i in general], tol) if general else []
+    for i, result in zip(general, solved):
+        results[i] = result
+    return _validated(ps, results, tol)
+
+
+def _validated(
+    ps: list[XStateParams], results: list[ReeResult], tol: Tolerances
+) -> list[ReeResult]:
+    """The checks after solving, with one hermitian_eig call on a stack.
+
+    A separable result stacks its state's partial transpose; a branch
+    solution stacks PT(pi), rho and pi, where pi is its CSS. The edge
+    eigenvalue and the spectral relative entropy are read off the stack as
+    min_eig_pt and relative_entropy compute them, and the edge eigenvalue
+    of an accepted result is kept as its edge_min_eig.
+    """
+    stack: list[np.ndarray] = []
+    checks = []  # (result, problems, index of its first stacked matrix)
+    for p, result in zip(ps, results):
+        problems: list[str] = []
+        start = None
+        if result.branch == BRANCH_SEPARABLE:
+            start = len(stack)
+            stack.append(partial_transpose(to_density_matrix(p, tol)))
+        elif result.branch != BRANCH_FAILURE:
+            if result.residual_max is None or result.residual_max > tol.residual_validation:
+                problems.append(f"coupled-equation residual {result.residual_max!r}")
+            css = result.css
+            if abs(css.y - math.sqrt(css.r1 * css.r4)) > tol.y_edge:
+                problems.append(f"edge condition y = sqrt(r1 r4) violated by {css.y!r}")
+            try:
+                pi = css_to_density_matrix(css, tol)
+            except InvalidStateError as exc:
+                problems.append(f"CSS validation error: {exc}")
+            else:
+                start = len(stack)
+                stack += [partial_transpose(pi), to_density_matrix(p, tol).matrix, pi.matrix]
+        checks.append((result, problems, start))
+    # looked up on the module, so a wrapper set on qmath sees the call
+    eig = qmath.hermitian_eig(np.array(stack), tol) if stack else None
+    out = []
+    for result, problems, start in checks:
+        if start is not None:
+            edge = float(eig.values[start, 0])
+            if result.branch != BRANCH_SEPARABLE:
+                if abs(edge) > tol.edge_validation:
+                    problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
+                sigma = EigenSystem(eig.values[start + 2], eig.vectors[start + 2])
+                dual = _relative_entropy_eig(stack[start + 1], eig.values[start + 1], sigma, tol)
+                if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
+                    problems.append(
+                        f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"
+                    )
+            result = replace(result, edge_min_eig=edge)
+        if problems:
+            result = ReeResult(
+                None,
+                None,
+                BRANCH_FAILURE,
+                result.residual_max,
+                "; ".join(
+                    [f"{result.branch} solution failed validation"]
+                    + problems
+                    + ([result.diagnostics] if result.diagnostics else [])
+                ),
             )
-    except (InvalidStateError, LogDomainError) as exc:
-        problems.append(f"CSS validation error: {exc}")
-    if problems:
-        return ReeResult(
-            None,
-            None,
-            BRANCH_FAILURE,
-            result.residual_max,
-            "; ".join(
-                [f"{result.branch} solution failed validation"]
-                + problems
-                + ([result.diagnostics] if result.diagnostics else [])
-            ),
-        )
-    return result
+        out.append(result)
+    return out
 
 
 def closed_form_family_ree(

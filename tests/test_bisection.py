@@ -17,7 +17,10 @@ import pytest
 
 import xree.ree as ree_module
 from xree.config import default_tolerances
-from xree.ree import BRANCH_THEOREM3, _bisect_t3, _t3_equation, solve_theorem3
+from xree.cli import main
+from xree.ree import (
+    BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, _bisect_t3, _t3_equation, solve_theorem3,
+)
 from xree.states import RAINS_PARAMS
 
 STEP_COUNTS = (1, 7, 8, 9, 31)
@@ -145,6 +148,18 @@ def test_rains_solve_makes_at_most_six_reduction_calls(monkeypatch):
     result = solve_theorem3(RAINS_PARAMS)
     assert result.branch == BRANCH_THEOREM3
     assert len(seen) <= 6
+
+
+def test_scan_polishes_each_chunk_together(monkeypatch, capsys):
+    # one grid call per state and at most five tree rounds per chunk; a
+    # polish state by state makes about four rounds per state
+    seen = counted(monkeypatch, _t3_equation)
+    grid = os.path.join(os.path.dirname(__file__), "..", "grids", "baseline_line.json")
+    assert main(["scan", "--grid", grid]) == 0
+    branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
+    assert len(branches) == 400
+    assert len(seen) <= 400 + 5 * math.ceil(400 / CHUNK)
+    assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
 
 
 def test_tolerance_below_double_spacing_still_stops(tmp_path):

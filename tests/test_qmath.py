@@ -101,6 +101,44 @@ class TestHermitianEig:
         assert all(eig.values[i] <= eig.values[i + 1] for i in range(3))
 
 
+class TestStackedHermitianEig:
+    def stack(self):
+        rng = np.random.default_rng(9)
+        mats = [random_hermitian(rng) for _ in range(5)]
+        mats += [to_density_matrix(RAINS_PARAMS).matrix, bell3_projector().matrix]
+        return np.array(mats)
+
+    def test_each_matrix_as_in_its_own_call(self):
+        stack = self.stack()
+        eig = hermitian_eig(stack)
+        assert eig.values.shape == (len(stack), 4)
+        assert eig.vectors.shape == (len(stack), 4, 4)
+        for m, values, vectors in zip(stack, eig.values, eig.vectors):
+            alone = hermitian_eig(m)
+            assert alone.values.shape == (4,)
+            assert values.tobytes() == alone.values.tobytes()
+            assert vectors.tobytes() == alone.vectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((1, 2), complex(math.nan, 0.0)), ((0, 3), complex(0.0, math.inf)), ((2, 1), 1e-6)],
+        ids=["nan", "inf", "not-hermitian"],
+    )
+    def test_bad_member_raises_its_own_message(self, entry, value):
+        stack = self.stack()
+        stack[3][entry] += value
+        with pytest.raises(InvalidStateError) as alone:
+            hermitian_eig(stack[3])
+        with pytest.raises(InvalidStateError) as stacked:
+            hermitian_eig(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3), (2, 2, 4, 4)])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(InvalidStateError, match="expected a 4x4 matrix"):
+            hermitian_eig(np.zeros(shape))
+
+
 class TestVonNeumannEntropy:
     def test_pure_state_is_zero(self):
         assert von_neumann_entropy(bell3_projector()) == pytest.approx(0.0, abs=1e-12)

@@ -2,6 +2,7 @@
 and compute_ree, and the eigendecompositions a validated compute_ree runs."""
 
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -117,9 +118,10 @@ class TestEigendecompositionCount:
             pytest.param(lambda: RAINS_PARAMS, BRANCH_THEOREM3, id="rains"),
         ],
     )
-    def test_three_per_validated_compute(self, monkeypatch, params, branch):
-        # the partial-transpose edge eigenvalue and the two spectra of the
-        # relative entropy; building the family matrices runs none
+    def test_one_per_validated_compute(self, monkeypatch, params, branch):
+        # one stacked call for the partial-transpose edge eigenvalue and the
+        # two spectra of the relative entropy; building the family matrices
+        # runs none
         p = params()
         calls = []
         forward = qmath.hermitian_eig
@@ -131,17 +133,35 @@ class TestEigendecompositionCount:
         monkeypatch.setattr(qmath, "hermitian_eig", counting)
         result = compute_ree(p)
         assert result.branch == branch
-        assert len(calls) == 3
+        assert len(calls) == 1
+
+    def test_one_eigh_in_cli_compute(self, monkeypatch, capsys):
+        # edge_min_eig in the compute document is the validation's value
+        want = compute_ree(RAINS_PARAMS).edge_min_eig
+        calls = []
+        forward = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert main(["compute", "--family", "rains"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["branch"] == BRANCH_THEOREM3
+        assert doc["edge_min_eig"] == want
+        assert len(calls) == 1
 
 
 class TestDiagnostics:
     def test_theorem3_note_appears_once(self, monkeypatch):
         note = "2 validated roots; kept minimal REE (others: 0.2)"
-        solve = ree_module.solve_theorem3
+        # the Theorem 3 solver's per-state result, before compute_ree validates it
+        result_of = ree_module._t3_result
         monkeypatch.setattr(
             ree_module,
-            "solve_theorem3",
-            lambda p, tol=None: replace(solve(p, tol), diagnostics=note),
+            "_t3_result",
+            lambda p, roots, sign, tol: replace(result_of(p, roots, sign, tol), diagnostics=note),
         )
         result = compute_ree(RAINS_PARAMS)
         assert result.branch == BRANCH_THEOREM3
