@@ -485,7 +485,7 @@ def _bisect_t3(
     node, and the walks then follow these steps down the trees together.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
-    per_bracket = isinstance(p, _T3Constants)
+    columns = np.array(p) if isinstance(p, _T3Constants) else None
     steps = [_TREE_WIDTH >> level for level in range(1, _TREE_DEPTH + 1)]
     active = np.arange(len(a))
     while (active := active[_splits(a[active], b[active], tol)]).size:
@@ -496,7 +496,7 @@ def _bisect_t3(
         for step in steps:
             twice = 2 * step
             nodes[:, step::twice] = 0.5 * (nodes[:, :-step:twice] + nodes[:, twice::twice])
-        q = _T3Constants(*(c[active] for c in p)) if per_bracket else p
+        q = p if columns is None else _T3Constants(*columns[:, active])
         f = _t3_equation(nodes, sign[active, None], q)
         x_lo, x_mid, x_hi = nodes[:, _TREE_LO], nodes[:, 1:-1], nodes[:, _TREE_HI]
         f_lo, f_mid = f[:, _TREE_LO], f[:, 1:-1]
@@ -660,6 +660,7 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
 
 
 def _compute_chunk(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
+    """Dispatch and solve each state of a chunk, then validate the chunk."""
     results: list[ReeResult | None] = []
     general = []
     for p in ps:
