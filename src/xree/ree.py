@@ -432,23 +432,22 @@ _TREE_DEPTH = 8
 _TREE_WIDTH = 1 << _TREE_DEPTH
 # the inner node m = 1 .. width - 1 of a bisection tree is the midpoint of
 # [m - h, m + h], h the lowest set bit of m
-_TREE_HALF = np.arange(1, _TREE_WIDTH) & -np.arange(1, _TREE_WIDTH)
-_TREE_LO = np.arange(1, _TREE_WIDTH) - _TREE_HALF
-_TREE_HI = np.arange(1, _TREE_WIDTH) + _TREE_HALF
+_TREE_LO = np.array([m - (m & -m) for m in range(1, _TREE_WIDTH)])
+_TREE_HI = np.array([m + (m & -m) for m in range(1, _TREE_WIDTH)])
 
 
-def _tree_end(lo, hi):
-    """A walk's final bracket [lo, hi] of tree node indices, as one integer."""
-    return lo * (2 * _TREE_WIDTH) + hi
+def _tree_ends(pairs):
+    """Final brackets [lo, hi] of tree node indices, one integer each."""
+    return np.array([lo * (2 * _TREE_WIDTH) + hi for lo, hi in pairs])
 
 
 # the tree's unit intervals [j, j + 1], then for each level, deepest first,
 # its h and the ends [m - h, m + h] and [m, m + h] of its nodes m = h, 3h, ...
-_TREE_UNITS = _tree_end(np.arange(_TREE_WIDTH), np.arange(1, _TREE_WIDTH + 1))
+_TREE_UNITS = _tree_ends((j, j + 1) for j in range(_TREE_WIDTH))
 _TREE_LEVELS = [
-    (h, _tree_end(m - h, m + h), _tree_end(m, m + h))
+    (h, _tree_ends((m - h, m + h) for m in nodes), _tree_ends((m, m + h) for m in nodes))
     for h in (1 << k for k in range(_TREE_DEPTH))
-    for m in [np.arange(h, _TREE_WIDTH, 2 * h)]
+    for nodes in [range(h, _TREE_WIDTH, 2 * h)]
 ]
 
 
