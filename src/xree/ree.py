@@ -619,7 +619,7 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 
 
 # states per batch of compute_ree_many; bounds the bisection-tree arrays
-CHUNK = 64
+CHUNK = 32
 
 
 def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
