@@ -481,7 +481,8 @@ def _bisect_t3(
     A walk that reaches an inner node has valued f at the node's left end
     (fa at the tree's left edge), so each node's step is known before the
     walk: array operations over all trees apply the rules above to every
-    node, and the walks then follow these steps down the trees together.
+    node, then, level by level from the leaves up, give each node the
+    bracket in which a walk reaching it ends; the root's is the result.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
     columns = np.array(p) if isinstance(p, _T3Constants) else None
