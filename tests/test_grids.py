@@ -1,5 +1,6 @@
 """The committed scan grids and the simplex grid mode."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +24,21 @@ def write_grid(tmp_path, doc):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# sha256 of the scan CSV of each committed grid; every speed-up of the
+# solver must keep these bytes
+SCAN_SHA256 = {
+    "baseline_line.json": "c1832ac2f2b0dadf7211bc838a6919536c4361b58c5b2c9571883bc1e5d972f7",
+    "failure_region.json": "cf0547c160e35e049dbb092c40db14994cd6e7146226d34f418a35555a2465b3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SHA256))
+def test_committed_grid_scan_bytes_are_pinned(capsys, name):
+    code, out, err = scan(capsys, "--grid", str(GRIDS / name))
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[name]
 
 
 def test_committed_grids_validate_and_fit_under_the_cap():
