@@ -372,29 +372,37 @@ def _t3_constants(p: XStateParams) -> _T3Constants:
     )
 
 
+def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
+    """The r1-only part of _t3_candidates: r4, y, gamma and their feasibility.
+
+    A point is feasible when r1 > a1, r4 > 0 and gamma >= 0; the sign
+    branch of (r2, r3) does not enter. r1 and the constants c broadcast.
+    """
+    r4 = r1 - c.a1_minus_a4
+    w = r1 * r4
+    y = np.sqrt(np.where(w > 0.0, w, 0.0))
+    gamma = c.d16 * y - c.r1_slope * r1 + c.gamma0
+    return r4, y, gamma, (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0)
+
+
 def _t3_candidates(
     r1: np.ndarray, sign: np.ndarray, p: XStateParams | _T3Constants
 ) -> tuple[np.ndarray, ...]:
     """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
 
     r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast
-    against each other: a grid of shape (G,) with sign of shape (2, 1)
-    gives (2, G) arrays, one row per branch; r1 and sign of shape (K,)
-    give one entry per root; r1 of shape (K, n) with sign of shape (K, 1)
-    gives one row of bisection-tree nodes per bracket, and p may then be
-    _T3Constants columns, one state per bracket. r4 and y take the shape
-    of r1.
+    against each other. The root grid passes r1 and sign of shape (K,),
+    one entry per feasible grid point or per root, with p as _T3Constants
+    of shape (K,), one state per entry; r1 of shape (K, n) with sign of
+    shape (K, 1) gives one row of bisection-tree nodes per bracket, with p
+    as (K, 1) columns. r4 and y take the shape of r1.
     """
     c = p if isinstance(p, _T3Constants) else _t3_constants(p)
-    r4 = r1 - c.a1_minus_a4
-    w = r1 * r4
-    y = np.sqrt(np.where(w > 0.0, w, 0.0))
-    gamma = c.d16 * y - c.r1_slope * r1 + c.gamma0
+    r4, y, gamma, feasible = _t3_feasible(r1, c)
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
     r2 = 0.25 * (c.r2_base - 4.0 * r1 + sign * root)
     r3 = 0.25 * (c.r3_base - 4.0 * r1 - sign * root)
-    ok = (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0) & (r2 > 0.0) & (r3 > 0.0)
-    return r2, r3, r4, y, ok
+    return r2, r3, r4, y, feasible & (r2 > 0.0) & (r3 > 0.0)
 
 
 def _t3_equation(
@@ -405,8 +413,8 @@ def _t3_equation(
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1, sign and p broadcast as in _t3_candidates: (G,) with (2, 1), (K,)
-    with (K,), or (K, n) with (K, 1); f has their common shape.
+    r1, sign and p broadcast as in _t3_candidates: (K,) with (K,), or
+    (K, n) with (K, 1); f has their common shape.
     """
     return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
 
@@ -519,49 +527,74 @@ def _bisect_t3(
     return 0.5 * (a + b)
 
 
-def _t3_brackets(p: XStateParams, tol: Tolerances):
-    """The sign-change brackets (a, b, fa, sign) of one state's root grid.
+# grid points of one array pass of the Theorem 3 root grid; a pass holds
+# this many over root_grid_points states, at least one (4 at the default)
+GRID_BLOCK_POINTS = 8000
 
-    None when the feasible r1 interval is empty.
+
+def _t3_span(p: XStateParams) -> tuple[float, float]:
+    """The ends (lo, hi) of a state's r1 grid; the interval is empty when hi <= lo."""
+    return p.a1 + 1e-12, 0.5 * (1.0 + p.a1 - p.a4)
+
+
+def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """The sign-change brackets (a, b, fa, sign, owner) of every state's root grid.
+
+    spans holds each state's (lo, hi) and columns its _T3Constants, one
+    column per state; owner is the state of each bracket. A state's grid is
+    linspace(lo, hi, root_grid_points) with both sign branches on it. A
+    bracket is a cell of one grid row with finite values at both ends and
+    a sign change or a zero at its left end; a zero-width bracket [r, r]
+    is not bisected and returns its root r. The brackets come out by
+    state, then sign +1 before -1, then r1 ascending.
+
+    The grids of a few states stack into one (B, G) array. Feasibility in
+    r1 alone (_t3_feasible) is decided on that array, and the reduction
+    runs only on the K feasible points, in one _t3_equation call with one
+    state per point and both sign rows, (K,) with (2, 1); every other grid
+    point is nan. Neighbouring feasible points of one grid row form the
+    cells.
     """
-    if not is_entangled(p, tol):
-        raise WrongBranchError("theorem3 requires an entangled input")
-    lo = p.a1 + 1e-12
-    hi = 0.5 * (1.0 + p.a1 - p.a4)
-    if hi <= lo:
-        return None
-    grid = np.linspace(lo, hi, tol.root_grid_points)
+    n = tol.root_grid_points
+    per_block = max(1, GRID_BLOCK_POINTS // n)
+    spanned = [k for k, (lo, hi) in enumerate(spans) if hi > lo]
     signs = np.array([[1.0], [-1.0]])
-    vals = _t3_equation(grid, signs, p)
-    # a bracket is a grid cell with finite ends and a zero at its left end
-    # or a sign change; row-major order keeps sign +1 first, then r1 ascending
-    finite = np.isfinite(vals)
-    both = finite[:, :-1] & finite[:, 1:]
-    change = both & (vals[:, :-1] * vals[:, 1:] < 0.0)
-    rows, cells = np.nonzero(change | (both & (vals[:, :-1] == 0.0)))
-    # a zero-width bracket [r, r] is not bisected and returns its root r
-    a = grid[cells]
-    b = np.where(change[rows, cells], grid[cells + 1], a)
-    return a, b, vals[rows, cells], signs[rows, 0]
+    found = []
+    for start in range(0, len(spanned), per_block):
+        block = np.array(spanned[start : start + per_block])
+        grid = np.array([np.linspace(*spans[k], n) for k in block])
+        feasible = _t3_feasible(grid, _T3Constants(*columns[:, block, None]))[3]
+        at = np.flatnonzero(feasible)  # into the block's grid, row-major
+        owner = block[at // n]
+        r1 = grid[feasible]
+        f = _t3_equation(r1, signs, _T3Constants(*columns[:, owner]))
+        finite = np.isfinite(f)
+        cell = (at[1:] == at[:-1] + 1) & (at[:-1] % n < n - 1)
+        both = cell & finite[:, :-1] & finite[:, 1:]
+        # points of two states may multiply to inf or 0 * inf; they are no cell
+        with np.errstate(invalid="ignore", over="ignore"):
+            change = both & (f[:, :-1] * f[:, 1:] < 0.0)
+        rows, k = np.nonzero(change | (both & (f[:, :-1] == 0.0)))
+        b = np.where(change[rows, k], r1[k + 1], r1[k])
+        found.append((r1[k], b, f[rows, k], signs[rows, 0], owner[k]))
+    if not found:
+        return np.empty(0), np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=int)
+    a, b, fa, sign, owner = (np.concatenate(parts) for parts in zip(*found))
+    # sign-major within a block; r1 stays ascending per state and sign
+    order = np.argsort(2 * owner + (sign < 0.0), kind="stable")
+    return a[order], b[order], fa[order], sign[order], owner[order]
 
 
-def _t3_result(
-    p: XStateParams, roots: np.ndarray, sign: np.ndarray, tol: Tolerances
-) -> ReeResult:
-    """Filter and score one state's polished roots; the least REE wins."""
-    r2, r3, r4, y, ok = _t3_candidates(roots, sign, p)
-    fval = _t3_reduction(roots, p, r2, r3, r4, y, ok)
-    side = (r2 - r3) * (p.a2 - r2) + 2.0 * y * (p.d - y) - 2.0 * r2 * (roots - p.a1)
-    keep = (
-        (np.abs(fval) <= tol.root_value_cap)  # nan: bisection failed; large: a pole
-        & ok
-        & ~(np.abs(side) > tol.sign_residual)
-        & ~(y * y > r2 * r3 + tol.y_edge)
-    )
+def _t3_result(p: XStateParams, kept, brackets: int, tol: Tolerances) -> ReeResult:
+    """Score one state's filtered roots; the least REE wins.
+
+    kept holds (r1, r2, r3, r4, y) of each of the state's roots that passed
+    the root filters of _solve_theorem3_many, in bracket order; brackets
+    counts all the state's brackets.
+    """
     accepted: list[ReeResult] = []
-    for k in np.flatnonzero(keep):
-        r1v, r2v, r3v, r4v, yv = (float(v[k]) for v in (roots, r2, r3, r4, y))
-        css = css_solution(r1v, r2v, r3v, r4v, yv, p.phi, _multiplier(r1v, r4v, p.a1))
+    for r1, r2, r3, r4, y in kept:
+        css = css_solution(r1, r2, r3, r4, y, p.phi, _multiplier(r1, r4, p.a1))
         scored = _scored(p, css, BRANCH_THEOREM3, tol)
         if scored.branch == BRANCH_FAILURE or scored.residual_max > tol.residual_validation:
             continue
@@ -574,7 +607,7 @@ def _t3_result(
             None,
             f"no valid root of the one-variable reduction over "
             f"{tol.root_grid_points} grid points per sign branch "
-            f"({len(roots)} brackets, {len(roots)} rejected)",
+            f"({brackets} brackets, {brackets} rejected)",
         )
     accepted.sort(key=lambda result: result.ree)
     if len(accepted) == 1:
@@ -585,25 +618,41 @@ def _t3_result(
 
 
 def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
-    """solve_theorem3 of each state, all their brackets in one _bisect_t3 call."""
-    found = [_t3_brackets(p, tol) for p in ps]
-    counts = [0 if f is None else len(f[0]) for f in found]
-    a, b, fa, sign = (
-        np.concatenate([np.empty(0)] + [f[j] for f in found if f is not None])
-        for j in range(4)
+    """solve_theorem3 of each state, all their brackets in one _bisect_t3 call.
+
+    The polished roots of all states then pass one array pass of the root
+    filters: a root is kept when |f| <= root_value_cap (a nan marks a
+    failed bisection, a large value a pole), its candidate is feasible, it
+    meets the sign side condition and its middle block is PSD.
+    """
+    for p in ps:
+        if not is_entangled(p, tol):
+            raise WrongBranchError("theorem3 requires an entangled input")
+    spans = [_t3_span(p) for p in ps]
+    columns = np.array([_t3_constants(p) for p in ps], dtype=float).reshape(len(ps), -1).T
+    a, b, fa, sign, owner = _t3_grid(spans, columns, tol)
+    roots = _bisect_t3(a, b, fa, sign, _T3Constants(*columns[:, owner, None]), tol)
+    c = _T3Constants(*columns[:, owner])
+    r2, r3, r4, y, ok = _t3_candidates(roots, sign, c)
+    fval = _t3_reduction(roots, c, r2, r3, r4, y, ok)
+    a2 = np.array([p.a2 for p in ps])[owner]
+    side = (r2 - r3) * (a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
+    keep = np.flatnonzero(
+        (np.abs(fval) <= tol.root_value_cap)
+        & ok
+        & ~(np.abs(side) > tol.sign_residual)
+        & ~(y * y > r2 * r3 + tol.y_edge)
     )
-    states = np.array([_t3_constants(p) for p in ps], dtype=float)
-    columns = np.repeat(states.reshape(len(ps), -1), counts, axis=0).T[..., None]
-    roots = _bisect_t3(a, b, fa, sign, _T3Constants(*columns), tol)
-    results = []
-    for p, f, end, n in zip(ps, found, np.cumsum(counts), counts):
-        if f is None:
-            results.append(
-                ReeResult(None, None, BRANCH_FAILURE, None, "empty feasible interval for r1")
-            )
-        else:
-            results.append(_t3_result(p, roots[end - n : end], f[3], tol))
-    return results
+    kept: list[list] = [[] for _ in ps]
+    for k, row in zip(owner[keep].tolist(), np.stack([roots, r2, r3, r4, y], axis=1)[keep].tolist()):
+        kept[k].append(row)
+    brackets = np.bincount(owner, minlength=len(ps)).tolist()
+    return [
+        _t3_result(p, kept[k], brackets[k], tol)
+        if hi > lo
+        else ReeResult(None, None, BRANCH_FAILURE, None, "empty feasible interval for r1")
+        for k, (p, (lo, hi)) in enumerate(zip(ps, spans))
+    ]
 
 
 def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
