@@ -25,12 +25,16 @@ Each branch scores its CSS with ree_from_css. When no root of the general
 branch was found on the grid, the result is flagged as ansatz_failure.
 
 compute_ree_many takes a list of states and compute_ree is its one-state
-call. The list runs CHUNK states at a time. Validity checks, dispatch, the
-theorem1/2 solvers and each state's Theorem 3 grid run state by state;
-the Theorem 3 brackets of all states of a chunk are bisected together, in
-one reduction call per tree round, and the chunk's validation
-decomposes every matrix it needs in one stacked eigendecomposition. Each
-result is bit for bit what the state gives alone.
+call. The list runs CHUNK states at a time. Validity checks, dispatch and
+the theorem1/2 solvers run state by state. The Theorem 3 root grids of a
+chunk run a few states per array pass: a (B, G) mask of the points
+feasible in r1 alone, then one reduction call on those points only. The
+chunk's brackets are bisected together, in one reduction call per tree
+round, and its roots pass the root filters in one array pass; only the
+scoring of each state's surviving roots runs state by state. The chunk's
+validation decomposes every matrix it needs in one stacked
+eigendecomposition. Each result is bit for bit what the state gives
+alone.
 """
 
 from __future__ import annotations
@@ -391,11 +395,12 @@ def _t3_candidates(
     """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
 
     r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast
-    against each other. The root grid passes r1 and sign of shape (K,),
-    one entry per feasible grid point or per root, with p as _T3Constants
-    of shape (K,), one state per entry; r1 of shape (K, n) with sign of
-    shape (K, 1) gives one row of bisection-tree nodes per bracket, with p
-    as (K, 1) columns. r4 and y take the shape of r1.
+    against each other, and p may be _T3Constants arrays with one state per
+    entry of r1. The root grid passes its K feasible points as r1 (K,) with
+    sign (2, 1), for (2, K) arrays with one row per branch; r1 and sign of
+    shape (K,) give one entry per root; r1 of shape (K, n) with sign of
+    shape (K, 1) gives one row of bisection-tree nodes per bracket. r4 and
+    y take the shape of r1.
     """
     c = p if isinstance(p, _T3Constants) else _t3_constants(p)
     r4, y, gamma, feasible = _t3_feasible(r1, c)
@@ -413,8 +418,8 @@ def _t3_equation(
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1, sign and p broadcast as in _t3_candidates: (K,) with (K,), or
-    (K, n) with (K, 1); f has their common shape.
+    r1, sign and p broadcast as in _t3_candidates: (K,) with (2, 1), (K,)
+    with (K,), or (K, n) with (K, 1); f has their common shape.
     """
     return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
 
@@ -571,7 +576,7 @@ def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, .
         finite = np.isfinite(f)
         cell = (at[1:] == at[:-1] + 1) & (at[:-1] % n < n - 1)
         both = cell & finite[:, :-1] & finite[:, 1:]
-        # points of two states may multiply to inf or 0 * inf; they are no cell
+        # values at points that are no cell may multiply to inf or 0 * inf
         with np.errstate(invalid="ignore", over="ignore"):
             change = both & (f[:, :-1] * f[:, 1:] < 0.0)
         rows, k = np.nonzero(change | (both & (f[:, :-1] == 0.0)))
@@ -643,8 +648,9 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
         & ~(np.abs(side) > tol.sign_residual)
         & ~(y * y > r2 * r3 + tol.y_edge)
     )
+    rows = np.stack([roots, r2, r3, r4, y], axis=1)[keep].tolist()
     kept: list[list] = [[] for _ in ps]
-    for k, row in zip(owner[keep].tolist(), np.stack([roots, r2, r3, r4, y], axis=1)[keep].tolist()):
+    for k, row in zip(owner[keep].tolist(), rows):
         kept[k].append(row)
     brackets = np.bincount(owner, minlength=len(ps)).tolist()
     return [
@@ -693,10 +699,12 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     to ansatz_failure with diagnostics.
 
     The states run CHUNK at a time. Dispatch and the theorem1/2 solvers
-    run per state; every Theorem 3 bracket of a chunk is polished in one
-    _bisect_t3 call, and the chunk's validation decomposes all its
-    matrices in one stacked hermitian_eig call. A result does not depend
-    on the other states in the list.
+    run per state. The chunk's Theorem 3 root grids run GRID_BLOCK_POINTS
+    grid points at a time (_t3_grid), every Theorem 3 bracket of the chunk
+    is polished in one _bisect_t3 call and filtered in one array pass, and
+    the chunk's validation decomposes all its matrices in one stacked
+    hermitian_eig call. A result does not depend on the other states in
+    the list.
     """
     tol = tol or default_tolerances()
     params = list(params)

@@ -1,0 +1,233 @@
+"""The Theorem 3 root grid: a few states per array pass, feasible points only.
+
+`ree._t3_grid` stacks the r1 grids of several states, values the reduction
+only where r1 alone is feasible, and reads the brackets off neighbouring
+feasible points. Every bracket must be the one a state's own full (2, G)
+grid gives, bit for bit and in the same order, and the pass must stay
+bounded by grid points, not by the number of states.
+"""
+
+import math
+import os
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import xree.ree as ree_module
+from xree import compute_ree_many, default_tolerances, x_state
+from xree.cli import main
+from xree.ree import BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, GRID_BLOCK_POINTS
+from xree.states import XStateParams
+
+from conftest import random_entangled_params, random_separable_params
+
+# a1 + a4 = 1 leaves no r1 interval: hi = 0.5 < lo = 0.5 + 1e-12
+EMPTY_SPAN = XStateParams(0.5, 0.0, 0.0, 0.5, 0.0)
+# with a2 = a3 and d = 0, gamma = -16 a1 a4 - 16 (2 a1 + a2 + a3 + 2 a4)(r1 - a1) < 0
+NO_FEASIBLE_POINT = XStateParams(0.2, 0.3, 0.3, 0.2, 0.0)
+
+
+def reference_brackets(p, tol):
+    """One state's brackets (a, b, fa, sign) by its own (2, G) grid.
+
+    A bracket is a grid cell with finite values at both ends and a sign
+    change or a zero at its left end; rows are sign +1 then -1, r1
+    ascending, and a zero at the left end gives the zero-width [a, a].
+    """
+    lo = p.a1 + 1e-12
+    hi = 0.5 * (1.0 + p.a1 - p.a4)
+    if hi <= lo:
+        return [np.empty(0)] * 4
+    grid = np.linspace(lo, hi, tol.root_grid_points)
+    signs = np.array([[1.0], [-1.0]])
+    vals = ree_module._t3_equation(grid, signs, p)
+    finite = np.isfinite(vals)
+    both = finite[:, :-1] & finite[:, 1:]
+    change = both & (vals[:, :-1] * vals[:, 1:] < 0.0)
+    rows, cells = np.nonzero(change | (both & (vals[:, :-1] == 0.0)))
+    a = grid[cells]
+    b = np.where(change[rows, cells], grid[cells + 1], a)
+    return [a, b, vals[rows, cells], signs[rows, 0]]
+
+
+def assert_same_brackets(ps, got, tol):
+    """got = (a, b, fa, sign, ...) equals the states' references in order.
+
+    Returns the reference bracket count of each state.
+    """
+    want = [reference_brackets(p, tol) for p in ps]
+    for j, name in enumerate(("a", "b", "fa", "sign")):
+        joined = np.concatenate([np.empty(0)] + [w[j] for w in want])
+        assert got[j].dtype == joined.dtype and got[j].tobytes() == joined.tobytes(), name
+    return [len(w[0]) for w in want]
+
+
+def assert_same_block_brackets(ps, got, tol):
+    """As assert_same_brackets, and owner = got[4] names each bracket's state."""
+    counts = assert_same_brackets(ps, got, tol)
+    assert got[4].tolist() == np.repeat(np.arange(len(ps)), counts).tolist()
+
+
+def block_brackets(ps, tol):
+    spans = [ree_module._t3_span(p) for p in ps]
+    columns = np.array([ree_module._t3_constants(p) for p in ps]).reshape(len(ps), -1).T
+    return ree_module._t3_grid(spans, columns, tol)
+
+
+def theorem3_states(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_entangled_params(rng, BRANCH_THEOREM3) for _ in range(count)]
+
+
+def grid_tolerances(points):
+    return replace(default_tolerances(), root_grid_points=points)
+
+
+@pytest.mark.parametrize("points", [37, 200, 2000])
+def test_block_grid_equals_each_state_alone(points):
+    tol = grid_tolerances(points)
+    per_block = max(1, GRID_BLOCK_POINTS // points)
+    states = theorem3_states(points, 2 * per_block + 1) + [EMPTY_SPAN, NO_FEASIBLE_POINT]
+    states = [states[i] for i in np.random.default_rng(points).permutation(len(states))]
+    assert len(states) > 2 * per_block and len(states) % per_block != 0  # a part block
+    got = block_brackets(states, tol)
+    assert len(got[0]) > len(states) // 2
+    assert_same_block_brackets(states, got, tol)
+
+
+def test_the_special_states_have_no_brackets():
+    tol = default_tolerances()
+    lo, hi = ree_module._t3_span(EMPTY_SPAN)
+    assert hi <= lo
+    grid = np.linspace(*ree_module._t3_span(NO_FEASIBLE_POINT), tol.root_grid_points)
+    c = ree_module._t3_constants(NO_FEASIBLE_POINT)
+    assert not ree_module._t3_feasible(grid, c)[3].any()
+    for p in (EMPTY_SPAN, NO_FEASIBLE_POINT):
+        assert [len(v) for v in block_brackets([p], tol)] == [0] * 5
+
+
+def test_empty_interval_result(monkeypatch):
+    # no valid entangled state has hi <= lo, so one state's span is emptied
+    states = theorem3_states(5, 6)
+    alone = compute_ree_many(states)
+    empty = states[2]
+    span = ree_module._t3_span
+    monkeypatch.setattr(ree_module, "_t3_span", lambda p: (0.5, 0.5) if p is empty else span(p))
+    got = compute_ree_many(states)
+    assert got[2].branch == BRANCH_FAILURE
+    assert got[2].diagnostics == "empty feasible interval for r1"
+    assert [repr(r) for k, r in enumerate(got) if k != 2] == [
+        repr(r) for k, r in enumerate(alone) if k != 2
+    ]
+
+
+def test_zero_on_a_grid_point_and_nan_next_to_finite_values(monkeypatch):
+    tol = grid_tolerances(200)
+    states = theorem3_states(9, 11)
+    # the first sign-change cell [r, s] of sign +1 of two states: in one, f
+    # becomes 0 at r (a zero-width bracket [r, r]); the other loses s
+    found = [k for k, p in enumerate(states) if 1.0 in reference_brackets(p, tol)[3]]
+    assert len(found) >= 2
+    zeroed, cut = found[0], found[-1]
+    zero = reference_brackets(states[zeroed], tol)[0][0]
+    lost = reference_brackets(states[cut], tol)[1][0]
+    real = ree_module._t3_equation
+
+    def reduction(r1, sign, p):
+        f = real(r1, sign, p)
+        f = np.where((r1 == zero) & (sign > 0.0) & np.isfinite(f), 0.0, f)
+        return np.where(r1 == lost, np.nan, f)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+    got = block_brackets(states, tol)
+    assert_same_block_brackets(states, got, tol)
+    at_zero = (got[0] == zero) & (got[4] == zeroed)
+    assert at_zero.sum() == 1 and got[1][at_zero][0] == zero and got[2][at_zero][0] == 0.0
+    assert not ((got[1] == lost) & (got[4] == cut)).any()
+
+
+def test_cells_stay_inside_one_grid_row(monkeypatch):
+    # with d far above sqrt(a2 a3), r1 alone is feasible on the whole grid,
+    # so the last point of one state's row is next to the first of the next
+    state = XStateParams(0.1, 0.4, 0.4, 0.1, 5.0)
+    tol = grid_tolerances(200)
+    grid = np.linspace(*ree_module._t3_span(state), tol.root_grid_points)
+    assert ree_module._t3_feasible(grid, ree_module._t3_constants(state))[3].all()
+
+    def reduction(r1, sign, p):
+        return np.broadcast_to(r1 - 0.3, np.broadcast_shapes(np.shape(r1), np.shape(sign)))
+
+    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+    got = block_brackets([state] * 3, tol)
+    assert_same_block_brackets([state] * 3, got, tol)
+    assert got[4].tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_chunks_bisect_the_brackets_of_their_states(monkeypatch):
+    # mixed branches, so the Theorem 3 states of a chunk fill part blocks
+    rng = np.random.default_rng(21)
+    states = [random_separable_params(rng) for _ in range(10)]
+    for kind in ("theorem1", "theorem2", "theorem3"):
+        states += [random_entangled_params(rng, kind) for _ in range(25)]
+    states.append(x_state(0.04, 0.38, 0.40, 0.18, 0.33))
+    states = [states[i] for i in rng.permutation(len(states))]
+    solve, bisect = ree_module._solve_theorem3_many, ree_module._bisect_t3
+    calls = []
+
+    def solving(ps, tol):
+        calls.append([ps])
+        return solve(ps, tol)
+
+    def bisecting(a, b, fa, sign, p, tol):
+        calls[-1].append((a, b, fa, sign))
+        return bisect(a, b, fa, sign, p, tol)
+
+    monkeypatch.setattr(ree_module, "_solve_theorem3_many", solving)
+    monkeypatch.setattr(ree_module, "_bisect_t3", bisecting)
+    compute_ree_many(states)
+    assert len(calls) == math.ceil(len(states) / CHUNK)
+    tol = default_tolerances()
+    per_block = GRID_BLOCK_POINTS // tol.root_grid_points
+    assert any(len(ps) % per_block for ps, _ in calls)
+    for ps, brackets in calls:
+        assert_same_brackets(ps, brackets, tol)
+
+
+def test_peak_memory_is_bounded_by_grid_points():
+    # one state per pass at this grid, so 32 states peak about as high as
+    # the largest of them alone; a pass over the chunk would hold 32 grids
+    tol = grid_tolerances(200000)
+    states = theorem3_states(31, 32)
+
+    def peak(ps):
+        tracemalloc.start()
+        try:
+            compute_ree_many(ps, tol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(peak([p]) for p in states)
+    assert peak(states) <= 1.5 * alone
+
+
+def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
+    # one reduction call per block of states and at most five tree rounds
+    # per chunk
+    seen = []
+    real = ree_module._t3_equation
+
+    def counting(r1, sign, p):
+        seen.append(len(r1))
+        return real(r1, sign, p)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", counting)
+    grid = os.path.join(os.path.dirname(__file__), "..", "grids", "baseline_line.json")
+    assert main(["scan", "--grid", grid]) == 0
+    branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
+    assert len(branches) == 400
+    per_block = max(1, GRID_BLOCK_POINTS // default_tolerances().root_grid_points)
+    assert len(seen) <= math.ceil(400 / per_block) + 5 * math.ceil(400 / CHUNK)
+    assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
