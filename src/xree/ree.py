@@ -564,7 +564,7 @@ def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, .
     per_block = max(1, GRID_BLOCK_POINTS // n)
     spanned = [k for k, (lo, hi) in enumerate(spans) if hi > lo]
     signs = np.array([[1.0], [-1.0]])
-    found = []
+    found = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
     for start in range(0, len(spanned), per_block):
         block = np.array(spanned[start : start + per_block])
         grid = np.array([np.linspace(*spans[k], n) for k in block])
@@ -582,15 +582,15 @@ def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, .
         rows, k = np.nonzero(change | (both & (f[:, :-1] == 0.0)))
         b = np.where(change[rows, k], r1[k + 1], r1[k])
         found.append((r1[k], b, f[rows, k], signs[rows, 0], owner[k]))
-    if not found:
-        return np.empty(0), np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=int)
     a, b, fa, sign, owner = (np.concatenate(parts) for parts in zip(*found))
     # sign-major within a block; r1 stays ascending per state and sign
     order = np.argsort(2 * owner + (sign < 0.0), kind="stable")
     return a[order], b[order], fa[order], sign[order], owner[order]
 
 
-def _t3_result(p: XStateParams, kept, brackets: int, tol: Tolerances) -> ReeResult:
+def _t3_result(
+    p: XStateParams, kept: list[list[float]], brackets: int, tol: Tolerances
+) -> ReeResult:
     """Score one state's filtered roots; the least REE wins.
 
     kept holds (r1, r2, r3, r4, y) of each of the state's roots that passed
