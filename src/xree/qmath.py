@@ -82,7 +82,7 @@ def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
     tol = tol or default_tolerances()
     a = _as_matrix(m, stack=True)
     a_dag = np.swapaxes(a, -1, -2).conj()
-    dev = float(np.max(np.abs(a - a_dag), initial=0.0))
+    dev = float(np.abs(a - a_dag).max(initial=0.0))
     if dev > tol.eig_hermitian_pre:
         raise InvalidStateError(
             f"input is not Hermitian within {tol.eig_hermitian_pre:.1e}: "
@@ -133,11 +133,10 @@ def _relative_entropy_eig(
     tr_rho_ln_rho = sum(
         _xlnx(lam) for lam in rho_values if lam > tol.eigenvalue_clamp
     )
+    # <v_j|rho|v_j> for every eigenvector of sigma, from one product
+    weights = (eig_s.vectors.conj().T @ rm @ eig_s.vectors).diagonal().real
     cross = 0.0
-    for j in range(DIM):
-        lam = eig_s.values[j]
-        vec = eig_s.vectors[:, j]
-        weight = float(np.real(vec.conj() @ rm @ vec))
+    for lam, weight in zip(eig_s.values, weights.tolist()):
         if lam < tol.support_eigenvalue:
             if weight >= tol.support_leak:
                 return math.inf
@@ -147,9 +146,13 @@ def _relative_entropy_eig(
 
 
 def partial_transpose(m) -> np.ndarray:
-    """Transpose the second-qubit indices: (2a+b, 2c+d) -> (2a+d, 2c+b)."""
-    a = _as_matrix(m)
-    return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(DIM, DIM).copy()
+    """Transpose the second-qubit indices: (2a+b, 2c+d) -> (2a+d, 2c+b).
+
+    A stack (n, 4, 4) is transposed in one call, each matrix as in its own
+    call; a non-finite member fails the whole stack.
+    """
+    a = _as_matrix(m, stack=True)
+    return np.swapaxes(a.reshape(a.shape[:-2] + (2, 2, 2, 2)), -3, -1).reshape(a.shape)
 
 
 def min_eig_pt(rho: DensityMatrix, tol: Tolerances | None = None) -> float:

@@ -32,7 +32,8 @@ feasible in r1 alone, then one reduction call on those points only. The
 chunk's brackets are bisected together, in one reduction call per tree
 round, and its roots pass the root filters in one array pass; only the
 scoring of each state's surviving roots runs state by state. The chunk's
-validation decomposes every matrix it needs in one stacked
+validation builds each matrix it needs once, takes every partial
+transpose in one call and decomposes the matrices in one stacked
 eigendecomposition. Each result is bit for bit what the state gives
 alone.
 """
@@ -50,8 +51,8 @@ from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBran
 from . import qmath
 from .qmath import EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy, partial_transpose
 from .states import (
-    XStateParams, _check_simplex, _check_state, input_spectrum_pair, is_entangled,
-    to_density_matrix, x_state,
+    XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
+    is_entangled, to_density_matrix, x_state,
 )
 
 BRANCH_SEPARABLE = "separable"
@@ -742,20 +743,25 @@ def _validated(
 ) -> list[ReeResult]:
     """The checks after solving, with one hermitian_eig call on a stack.
 
-    A separable result stacks its state's partial transpose; a branch
-    solution stacks PT(pi), rho and pi, where pi is its CSS. The edge
+    Each matrix is built once, by states._family_matrices: rho from the
+    state, checked on entry to compute_ree_many, and pi from its CSS,
+    checked by css_to_x_params. A branch solution stacks PT(pi), rho and
+    pi; a separable result stacks its state's partial transpose. All the
+    partial transposes come from one partial_transpose call. The edge
     eigenvalue and the spectral relative entropy are read off the stack as
     min_eig_pt and relative_entropy compute them, and the edge eigenvalue
     of an accepted result is kept as its edge_min_eig.
     """
-    stack: list[np.ndarray] = []
-    checks = []  # (result, problems, index of its first stacked matrix)
+    pis: list[XStateParams] = []  # the CSS of each branch solution
+    rhos: list[XStateParams] = []  # its state
+    separable: list[XStateParams] = []
+    checks = []  # (result, problems, its index in pis or in separable, or None)
     for p, result in zip(ps, results):
         problems: list[str] = []
-        start = None
+        slot = None
         if result.branch == BRANCH_SEPARABLE:
-            start = len(stack)
-            stack.append(partial_transpose(to_density_matrix(p, tol)))
+            slot = len(separable)
+            separable.append(p)
         elif result.branch != BRANCH_FAILURE:
             if result.residual_max is None or result.residual_max > tol.residual_validation:
                 problems.append(f"coupled-equation residual {result.residual_max!r}")
@@ -763,29 +769,39 @@ def _validated(
             if abs(css.y - math.sqrt(css.r1 * css.r4)) > tol.y_edge:
                 problems.append(f"edge condition y = sqrt(r1 r4) violated by {css.y!r}")
             try:
-                pi = css_to_density_matrix(css, tol)
+                pi = css_to_x_params(css, tol)
             except InvalidStateError as exc:
                 problems.append(f"CSS validation error: {exc}")
             else:
-                start = len(stack)
-                stack += [partial_transpose(pi), to_density_matrix(p, tol).matrix, pi.matrix]
-        checks.append((result, problems, start))
-    # looked up on the module, so a wrapper set on qmath sees the call
-    eig = qmath.hermitian_eig(np.array(stack), tol) if stack else None
+                slot = len(pis)
+                pis.append(pi)
+                rhos.append(p)
+        checks.append((result, problems, slot))
+    # stack: PT(pi) of each solution, PT of each separable state, then each
+    # solution's rho, then its pi
+    k = len(pis)
+    n = k + len(separable)
+    if n:
+        mats = _family_matrices(pis + separable + rhos)
+        stack = np.concatenate((partial_transpose(mats[:n]), mats[n:], mats[:k]))
+        # looked up on the module, so a wrapper set on qmath sees the call
+        eig = qmath.hermitian_eig(stack, tol)
     out = []
-    for result, problems, start in checks:
-        if start is not None:
-            edge = float(eig.values[start, 0])
-            if result.branch != BRANCH_SEPARABLE:
-                if abs(edge) > tol.edge_validation:
-                    problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
-                sigma = EigenSystem(eig.values[start + 2], eig.vectors[start + 2])
-                dual = _relative_entropy_eig(stack[start + 1], eig.values[start + 1], sigma, tol)
-                if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
-                    problems.append(
-                        f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"
-                    )
-            result = replace(result, edge_min_eig=edge)
+    for result, problems, slot in checks:
+        edge = None
+        if result.branch == BRANCH_SEPARABLE:
+            edge = float(eig.values[k + slot, 0])
+        elif slot is not None:
+            edge = float(eig.values[slot, 0])
+            if abs(edge) > tol.edge_validation:
+                problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
+            rho, pi = n + slot, n + k + slot
+            sigma = EigenSystem(eig.values[pi], eig.vectors[pi])
+            dual = _relative_entropy_eig(stack[rho], eig.values[rho], sigma, tol)
+            if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
+                problems.append(
+                    f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"
+                )
         if problems:
             result = ReeResult(
                 None,
@@ -797,6 +813,15 @@ def _validated(
                     + problems
                     + ([result.diagnostics] if result.diagnostics else [])
                 ),
+            )
+        elif slot is not None:
+            result = ReeResult(
+                result.ree,
+                result.css,
+                result.branch,
+                result.residual_max,
+                result.diagnostics,
+                edge,
             )
         out.append(result)
     return out

@@ -28,6 +28,7 @@ from .errors import InvalidStateError, NotInFamilyError, SingularPhaseError
 from .qmath import DensityMatrix
 
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
+_HALF = complex(0.5, 0.0)
 
 
 def _check_finite(values, label: str) -> None:
@@ -170,22 +171,39 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
     return x_state(*pops, d=max(0.0, d), phi=b.phi, tol=tol)
 
 
+def _family_matrices(ps) -> np.ndarray:
+    """The (n, 4, 4) matrices of family members, with no validity check.
+
+    Callers pass states that have passed _check_state. The entries are
+    bit for bit those of DensityMatrix.from_matrix on the matrix assembled
+    entry by entry, signed zeros included. Its symmetrisation,
+    0.5 (m + m^dag), leaves the diagonal and the zeros as they are and
+    maps each coherence z to _HALF * (z + z): numpy multiplies by 0.5 as
+    by the complex 0.5 + 0j, and the zero products of that can flip the
+    sign of a zero part.
+    """
+    entries = []
+    for p in ps:
+        coh = p.d * cmath.exp(1j * p.phi)
+        low = coh.conjugate()
+        entries += (
+            p.a1, 0j, 0j, 0j,
+            0j, p.a2, _HALF * (coh + coh), 0j,
+            0j, _HALF * (low + low), p.a3, 0j,
+            0j, 0j, 0j, p.a4,
+        )
+    return np.array(entries, dtype=complex).reshape(-1, 4, 4)
+
+
 def to_density_matrix(p: XStateParams, tol: Tolerances | None = None) -> DensityMatrix:
     """Materialize the 4x4 matrix of a family member.
 
-    The state must pass the one validity rule, _check_state; no
-    eigendecomposition runs.
+    The state must pass the one validity rule, _check_state; then
+    _family_matrices builds the matrix, read-only. No eigendecomposition
+    runs.
     """
-    tol = tol or default_tolerances()
-    _check_state(p, tol)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p.diag()
-    coh = p.d * cmath.exp(1j * p.phi)
-    m[1, 2] = coh
-    m[2, 1] = coh.conjugate()
-    # the symmetrisation from_matrix applies, so the entries match it bit for
-    # bit, signed zeros included
-    m = 0.5 * (m + m.conj().T)
+    _check_state(p, tol or default_tolerances())
+    m = _family_matrices([p])[0]
     m.setflags(write=False)
     return DensityMatrix(m)
 
