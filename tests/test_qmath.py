@@ -1,6 +1,7 @@
 """Linear-algebra layer: eigensolver, entropies, partial transpose."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -17,10 +18,13 @@ from xree import (
     relative_entropy,
     von_neumann_entropy,
 )
+from xree.config import default_tolerances
 from xree.errors import InvalidStateError
-from xree.states import RAINS_PARAMS, bell_ket, named_state, to_density_matrix
+from xree.qmath import _relative_entropy_eig, _xlnx
+from xree.ree import compute_ree, css_to_density_matrix
+from xree.states import RAINS_PARAMS, bell_ket, named_state, to_density_matrix, x_state
 
-from conftest import charpoly_eigenvalues
+from conftest import charpoly_eigenvalues, random_entangled_params
 
 LN2 = math.log(2.0)
 
@@ -195,6 +199,70 @@ class TestRelativeEntropy:
         assert np.max(np.abs(rho.matrix - sigma.matrix)) > 1e-8
 
 
+def loop_relative_entropy(rm, rho_values, eig_s, tol):
+    """The spectral dual path with one product per eigenvector of sigma."""
+    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > tol.eigenvalue_clamp)
+    cross = 0.0
+    for j in range(4):
+        lam = eig_s.values[j]
+        vec = eig_s.vectors[:, j]
+        weight = float(np.real(vec.conj() @ rm @ vec))
+        if lam < tol.support_eigenvalue:
+            if weight >= tol.support_leak:
+                return math.inf
+        else:
+            cross += weight * math.log(lam)
+    return tr_rho_ln_rho - cross
+
+
+class TestRelativeEntropyOneProduct:
+    """The weights from one V^dag rho V product against the per-vector loop."""
+
+    def assert_as_loop(self, rho, sigma):
+        tol = default_tolerances()
+        rm = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+        rho_values = hermitian_eig(rm).values
+        eig_s = hermitian_eig(sigma)
+        got = _relative_entropy_eig(rm, rho_values, eig_s, tol)
+        want = loop_relative_entropy(rm, rho_values, eig_s, tol)
+        # bit for bit, and of the same type: a float's repr enters diagnostics
+        assert type(got) is type(want)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+        return got
+
+    @pytest.mark.parametrize("kind", ["theorem1", "theorem2", "theorem3"])
+    def test_family_pairs_of_every_branch(self, kind):
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for _ in range(60):
+            p = random_entangled_params(rng, kind)
+            result = compute_ree(p)
+            if result.css is None:
+                continue
+            got = self.assert_as_loop(to_density_matrix(p), css_to_density_matrix(result.css))
+            assert got == pytest.approx(result.ree, abs=1e-9)
+            checked += 1
+        assert checked >= 40
+
+    def test_rank_deficient_theorem1_css(self):
+        # the CSS diag(0, a2, a3, 0) has two zero eigenvalues: the support rule
+        # skips them because rho has no weight there
+        p = x_state(0.0, 0.6, 0.4, 0.0, 0.3)
+        sigma = css_to_density_matrix(compute_ree(p).css)
+        assert np.sum(hermitian_eig(sigma).values < default_tolerances().support_eigenvalue) == 2
+        assert math.isfinite(self.assert_as_loop(to_density_matrix(p), sigma))
+
+    def test_dense_random_pairs(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            self.assert_as_loop(random_density(rng), random_density(rng))
+
+    def test_support_leak_is_inf(self):
+        sigma = DensityMatrix.from_matrix(np.diag([0.5, 0.5, 0.0, 0.0]))
+        rho = DensityMatrix.from_matrix(np.diag([0.25, 0.25, 0.25, 0.25]))
+        assert self.assert_as_loop(rho, sigma) == math.inf
+
+
 class TestPartialTranspose:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=32, max_size=32))
@@ -215,6 +283,49 @@ class TestPartialTranspose:
         ket = np.kron(np.array([1.0, 0.0]), plus)
         rho = DensityMatrix.from_matrix(np.outer(ket, ket.conj()))
         assert min_eig_pt(rho) >= -1e-12
+
+
+class TestStackedPartialTranspose:
+    def stack(self):
+        rng = np.random.default_rng(31)
+        mats = [random_hermitian(rng) for _ in range(3)]
+        mats.append(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        mats += [to_density_matrix(x_state(0.1, 0.4, 0.3, 0.2, 0.25, -2.0)).matrix]
+        mats += [to_density_matrix(RAINS_PARAMS).matrix, bell3_projector().matrix]
+        return np.array(mats)
+
+    def test_each_matrix_as_in_its_own_call(self):
+        stack = self.stack()
+        pt = partial_transpose(stack)
+        assert pt.shape == stack.shape
+        for m, got in zip(stack, pt):
+            alone = partial_transpose(m)
+            assert alone.shape == (4, 4)
+            assert got.tobytes() == alone.tobytes()
+        assert partial_transpose(pt).tobytes() == stack.tobytes()
+
+    def test_matrix_input_gives_a_matrix(self):
+        assert partial_transpose(bell3_projector()).shape == (4, 4)
+        assert partial_transpose(self.stack()[:1]).shape == (1, 4, 4)
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((1, 2), complex(math.nan, 0.0)), ((0, 3), complex(0.0, math.inf))],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_member_raises_its_own_message(self, entry, value):
+        stack = self.stack()
+        stack[3][entry] += value
+        with pytest.raises(InvalidStateError) as alone:
+            partial_transpose(stack[3])
+        with pytest.raises(InvalidStateError) as stacked:
+            partial_transpose(stack)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (2, 4, 3), (2, 2, 4, 4)])
+    def test_wrong_shape(self, shape):
+        with pytest.raises(InvalidStateError, match="expected a 4x4 matrix"):
+            partial_transpose(np.zeros(shape))
 
 
 class TestMinEigPt:

@@ -13,11 +13,22 @@ from hypothesis import strategies as st
 
 import xree.qmath as qmath
 import xree.ree as ree_module
+import xree.states as states_module
 from xree import DensityMatrix, compute_ree, named_state, to_density_matrix, x_state
 from xree.cli import EXIT_INVALID, main
 from xree.errors import InvalidStateError
-from xree.ree import BRANCH_FAILURE, BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3
+from xree.qmath import partial_transpose
+from xree.ree import (
+    BRANCH_FAILURE,
+    BRANCH_SEPARABLE,
+    BRANCH_THEOREM1,
+    BRANCH_THEOREM2,
+    BRANCH_THEOREM3,
+    css_to_density_matrix,
+)
 from xree.states import RAINS_PARAMS, XStateParams, from_density_matrix
+
+from conftest import random_entangled_params
 
 # d^2 = a2 a3 + 0.9e-12 lies inside the coherence slack (1e-12), but the
 # smallest eigenvalue of the matrix is about -1.8e-10, below -psd (-1e-10)
@@ -101,7 +112,45 @@ class TestMatrixIsUnchanged:
         assert to_density_matrix(p).matrix.tobytes() == want.tobytes()
 
 
+# state, branch, and the _check_state and to_density_matrix calls of one
+# validated compute_ree: the check on entry and the CSS's check in
+# css_to_x_params; both matrices come from states._family_matrices
+WORK_PER_COMPUTE = [
+    pytest.param(
+        lambda: from_density_matrix(named_state("vp", 0.5, 0.3, 0.2)),
+        BRANCH_THEOREM1,
+        2,
+        id="theorem1",
+    ),
+    pytest.param(
+        lambda: from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15)),
+        BRANCH_THEOREM2,
+        2,
+        id="theorem2",
+    ),
+    pytest.param(lambda: RAINS_PARAMS, BRANCH_THEOREM3, 2, id="rains"),
+    pytest.param(lambda: x_state(0.4, 0.3, 0.2, 0.1, 0.05, 0.3), BRANCH_SEPARABLE, 1, id="separable"),
+]
+
+
 class TestEigendecompositionCount:
+    @pytest.mark.parametrize("params, branch, checks", WORK_PER_COMPUTE)
+    def test_checks_and_builds_per_compute(self, monkeypatch, params, branch, checks):
+        p = params()
+        calls = {"_check_state": 0, "to_density_matrix": 0}
+        for module in (states_module, ree_module):
+            for name in calls:
+                forward = getattr(module, name)
+
+                def counting(*args, _name=name, _forward=forward, **kwargs):
+                    calls[_name] += 1
+                    return _forward(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        result = compute_ree(p)
+        assert result.branch == branch
+        assert calls == {"_check_state": checks, "to_density_matrix": 0}
+
     @pytest.mark.parametrize(
         "params, branch",
         [
@@ -151,6 +200,55 @@ class TestEigendecompositionCount:
         assert doc["branch"] == BRANCH_THEOREM3
         assert doc["edge_min_eig"] == want
         assert len(calls) == 1
+
+
+class TestValidationMatrices:
+    def test_stack_holds_the_matrices_of_each_state(self, monkeypatch):
+        # every stacked matrix is bit for bit the one the public builders
+        # make: PT(pi), rho and pi for a branch solution, PT(rho) for a
+        # separable state
+        rng = np.random.default_rng(20261019)
+        states = [
+            random_entangled_params(rng, kind)
+            for kind in ("theorem1", "theorem2", "theorem3")
+            for _ in range(24)
+        ]
+        for _ in range(12):
+            a = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+            d = rng.uniform(0.0, 1.0) * math.sqrt(min(a[0] * a[3], a[1] * a[2]))
+            states.append(x_state(*(float(v) for v in a), float(d), float(rng.uniform(-3, 3))))
+        order = rng.permutation(len(states))
+        states = [states[i] for i in order]
+        assert any(p.phi != 0.0 for p in states)
+        stacks = []
+        forward = qmath.hermitian_eig
+
+        def capturing(m, tol=None):
+            stacks.append(np.array(m))
+            return forward(m, tol)
+
+        monkeypatch.setattr(qmath, "hermitian_eig", capturing)
+        results = ree_module.compute_ree_many(states)
+        monkeypatch.undo()
+        assert len(stacks) == math.ceil(len(states) / ree_module.CHUNK)
+        want = []
+        branches = set()
+        for p, result in zip(states, results):
+            branches.add(result.branch)
+            if result.branch == BRANCH_SEPARABLE:
+                mats = [partial_transpose(to_density_matrix(p))]
+            elif result.branch == BRANCH_FAILURE:
+                # a root-grid miss: nothing was stacked
+                assert "failed validation" not in result.diagnostics
+                continue
+            else:
+                pi = css_to_density_matrix(result.css)
+                mats = [partial_transpose(pi), to_density_matrix(p).matrix, pi.matrix]
+            assert result.edge_min_eig == float(qmath.hermitian_eig(mats[0]).values[0])
+            want += [m.tobytes() for m in mats]
+        assert {BRANCH_SEPARABLE, BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3} <= branches
+        got = [m.tobytes() for stack in stacks for m in stack]
+        assert sorted(got) == sorted(want)
 
 
 class TestDiagnostics:
