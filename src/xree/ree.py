@@ -444,25 +444,12 @@ def _t3_reduction(
 # bisection levels of each bracket valued by one _t3_equation call
 _TREE_DEPTH = 8
 _TREE_WIDTH = 1 << _TREE_DEPTH
-# the inner node m = 1 .. width - 1 of a bisection tree is the midpoint of
-# [m - h, m + h], h the lowest set bit of m
+# node m = 0 .. width of a bisection tree is its m-th point from the left;
+# the inner node m is the midpoint of [m - h, m + h], h the lowest set bit of m
 _TREE_LO = np.array([m - (m & -m) for m in range(1, _TREE_WIDTH)])
 _TREE_HI = np.array([m + (m & -m) for m in range(1, _TREE_WIDTH)])
-
-
-def _tree_ends(pairs):
-    """Final brackets [lo, hi] of tree node indices, one integer each."""
-    return np.array([lo * (2 * _TREE_WIDTH) + hi for lo, hi in pairs])
-
-
-# the tree's unit intervals [j, j + 1], then for each level, deepest first,
-# its h and the ends [m - h, m + h] and [m, m + h] of its nodes m = h, 3h, ...
-_TREE_UNITS = _tree_ends((j, j + 1) for j in range(_TREE_WIDTH))
-_TREE_LEVELS = [
-    (h, _tree_ends((m - h, m + h) for m in nodes), _tree_ends((m, m + h) for m in nodes))
-    for h in (1 << k for k in range(_TREE_DEPTH))
-    for nodes in [range(h, _TREE_WIDTH, 2 * h)]
-]
+# the move of a walk by the step code of its node: stop, left, onto nan, right
+_CHILD = np.array([0, -1, 0, 1])
 
 
 def _splits(a, b, tol: Tolerances):
@@ -494,9 +481,11 @@ def _bisect_t3(
     values every node of every tree, with sign (K,) taken per bracket.
     A walk that reaches an inner node has valued f at the node's left end
     (fa at the tree's left edge), so each node's step is known before the
-    walk: array operations over all trees apply the rules above to every
-    node, then, level by level from the leaves up, give each node the
-    bracket in which a walk reaching it ends; the root's is the result.
+    walk: array operations over all trees give every node a step code by
+    the rules above. Each walk then starts at the tree's middle node and
+    moves down one level at a time, by the code of the node it is on, to
+    the node where it stops or to a bottom node; that node's code gives
+    the bracket the walk ends in.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
     columns = np.array(p) if isinstance(p, _T3Constants) else None
@@ -512,20 +501,25 @@ def _bisect_t3(
             nodes[:, step::twice] = 0.5 * (nodes[:, :-step:twice] + nodes[:, twice::twice])
         q = p if columns is None else _T3Constants(*columns[:, active])
         f = _t3_equation(nodes, sign[active, None], q)
-        x_lo, x_mid, x_hi = nodes[:, _TREE_LO], nodes[:, 1:-1], nodes[:, _TREE_HI]
+        x_lo, x_hi = nodes[:, _TREE_LO], nodes[:, _TREE_HI]
         f_lo, f_mid = f[:, _TREE_LO], f[:, 1:-1]
         f_lo[:, _TREE_LO == 0] = fa[active, None]
         # Python floats multiply 0 * inf and overflow without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             right = ~(f_lo * f_mid <= 0.0)
-        splits = (x_hi - x_lo > tol.root_bisect_tol) & (x_lo < x_mid) & (x_mid < x_hi)
-        # a walk reaching node m stops there (0), ends in the walk of its left
-        # (1) or right (3) child, or moves onto a nan value at m and ends (2)
-        code = 2 * (splits & right) + (splits & ~np.isnan(f_mid))
-        ends = _TREE_UNITS
-        for h, stop, onto_nan in _TREE_LEVELS:
-            ends = code[:, h - 1 :: 2 * h].choose((stop, ends[..., ::2], onto_nan, ends[..., 1::2]))
-        lo, hi = np.divmod(ends[:, 0], 2 * _TREE_WIDTH)
+        # a walk on node m stops there (0), steps to its left (1) or right (3)
+        # child, or moves onto a nan value at m and stops (2); _splits halves
+        # [x_lo, x_hi] at exactly the node's own value
+        code = _splits(x_lo, x_hi, tol) * (2 * right + ~np.isnan(f_mid))
+        m = np.full(active.size, steps[0])
+        for step in steps[1:]:
+            m += _CHILD[code[rows, m - 1]] * step
+        # the walk ends in [m - h, m + h] for code 0, else in the half of it
+        # the code names: left for 1, right for 2 and 3
+        c = code[rows, m - 1]
+        h = m & -m
+        lo = np.where(c >= 2, m, m - h)
+        hi = np.where(c == 1, m, m + h)
         lost = (lo > 0) & np.isnan(f[rows, lo])
         a[active] = np.where(lost, np.nan, nodes[rows, lo])
         b[active] = nodes[rows, hi]

@@ -234,12 +234,11 @@ def from_density_matrix(
         raise NotInFamilyError(
             f"matrix entries outside the X-like pattern: {desc}", offending
         )
-    coh = m[1, 2]
+    # Python floats, so no numpy scalar repr reaches a message or a result
+    coh = complex(m[1, 2])
     d = abs(coh)
     phi = cmath.phase(coh) if d > 0.0 else 0.0
-    return x_state(
-        m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, d, phi, tol=tol
-    )
+    return x_state(*(float(m[i, i].real) for i in range(4)), d, phi, tol=tol)
 
 
 def is_entangled(p: XStateParams, tol: Tolerances | None = None) -> bool:

@@ -178,3 +178,85 @@ def test_tolerance_below_double_spacing_still_stops(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["branch"] == BRANCH_THEOREM3
     assert abs(doc["css"]["r1"] - 1.0 / 6.0) < 1e-9
+
+
+def stopping_bisection(f, a, b, fa, tol):
+    """Plain bisection with the stop rules of _bisect_t3.
+
+    It stops once halving no longer narrows [a, b] (the _splits test) and
+    gives a nan root when it values nan at a midpoint. Returns the root
+    and whether a midpoint it valued was an exact zero.
+    """
+    hit_zero = False
+    while b - a > tol and a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if math.isnan(fm):
+            return math.nan, hit_zero
+        hit_zero |= fm == 0.0
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b), hit_zero
+
+
+@pytest.mark.parametrize("bisect_tol", [1e-3, 1e-7, 1e-13, 1e-20])
+def test_random_brackets_with_zeros_and_nans_in_one_call(monkeypatch, bisect_tol):
+    # a polynomial with nine roots in [0, 1], so the wide brackets hold
+    # several sign changes; only - and * enter, which round alike on
+    # arrays and on Python floats
+    rng = np.random.default_rng(20261019)
+    roots = [float(z) for z in np.sort(rng.uniform(0.0, 1.0, 9))]
+
+    def poly(r):
+        value = 1.0
+        for z in roots:
+            value = value * (r - z)
+        return value
+
+    width = np.exp(rng.uniform(np.log(1e-12), 0.0, 400))
+    width[:40] *= 1e-4
+    a = rng.uniform(0.0, 1.0 - width)
+    # forty narrow brackets hold a root a thousandth of their width from
+    # one end, so their first walk goes to node 1 or node width - 1
+    a[:40] = rng.choice(roots, 40) - width[:40] * np.repeat([1e-3, 1.0 - 1e-3], 20)
+    b = a + width
+    b[40:45] = a[40:45]  # zero-width brackets
+    # exact zeros and nans at random midpoints a plain bisection of poly
+    # values, and a nan at the eighth midpoint of half the edge brackets;
+    # once a walk meets a zero, the points past it may lie off its new path
+    zeros, nans = set(), set()
+    for k, (lo, hi) in enumerate(zip(a.tolist(), b.tolist())):
+        flo, step = poly(lo), 0
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            pick = rng.uniform()
+            if step == 7 and k < 40:
+                pick = 0.0 if k % 2 else 1.0
+            if pick < 0.01:
+                nans.add(mid)
+            elif pick < 0.03:
+                zeros.add(mid)
+            if flo * poly(mid) <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, poly(mid)
+            step += 1
+
+    def f(r):
+        return math.nan if r in nans else 0.0 if r in zeros else poly(r)
+
+    def reduction(r1, sign, p):
+        value = np.where(np.isin(r1, list(zeros)), 0.0, poly(np.asarray(r1, dtype=float)))
+        return np.where(np.isin(r1, list(nans)), np.nan, value)
+
+    fa = reduction(a, None, None)
+    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+    got = _bisect_t3(a, b, fa, np.ones(len(a)), None, tolerances(bisect_tol))
+    kinds = set()
+    for k in range(len(a)):
+        want, hit_zero = stopping_bisection(f, float(a[k]), float(b[k]), float(fa[k]), bisect_tol)
+        assert got[k] == want or (math.isnan(got[k]) and math.isnan(want)), k
+        kinds.add("nan" if math.isnan(want) else "zero" if hit_zero else "plain")
+    assert kinds == {"nan", "zero", "plain"}

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, schemas, determinism, scan behavior."""
 
+import hashlib
 import json
 import math
 
@@ -99,6 +100,19 @@ class TestCompute:
         assert code == EXIT_INVALID
         assert "(0,3)" in err
 
+    def test_matrix_populations_print_as_plain_floats(self, tmp_path, capsys):
+        entry = lambda v: [v, 0.0]
+        m = [[entry(0.0)] * 4 for _ in range(4)]
+        for i, v in enumerate((-1e-11, 0.5, 0.5, 1e-11)):
+            m[i][i] = entry(v)
+        m[1][2] = m[2][1] = entry(0.3)
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"matrix": m}))
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: negative population in (-1e-11, 0.5, 0.5, 1e-11)\n"
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--family", "rains", "--params", "0,0.5,0.5,0,0.5")
         assert code == EXIT_INVALID
@@ -123,6 +137,12 @@ class TestSelftest:
         assert "checks passed" in out1
         code, out2, _ = run_cli(capsys, "selftest")
         assert out1 == out2
+
+    def test_table_bytes_are_pinned(self, capsys):
+        # every speed-up of the solver must keep these bytes
+        _, out, _ = run_cli(capsys, "selftest")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "1d1208a0a267c6e3843e023f5ea030303b254fb386ab827749fb30b7b3efa682"
 
     def test_mentions_rains_expected_value(self, capsys):
         _, out, _ = run_cli(capsys, "selftest")

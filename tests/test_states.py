@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -74,6 +75,10 @@ class TestDensityMatrixRoundTrip:
         p = from_density_matrix(named_state("rains"))
         assert p.a1 == pytest.approx(RAINS_PARAMS.a1, abs=1e-15)
         assert p.d == pytest.approx(RAINS_PARAMS.d, abs=1e-15)
+
+    def test_parameters_read_back_are_python_floats(self):
+        p = from_density_matrix(named_state("vp", 0.5, 0.3, 0.2))
+        assert all(type(v) is float for v in astuple(p))
 
     def test_general_bell_diagonal_rejected(self):
         rho = named_state("bell_diagonal", 0.4, 0.1, 0.3, 0.2)

@@ -4,7 +4,7 @@ and compute_ree, and the eigendecompositions a validated compute_ree runs."""
 import cmath
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import xree.qmath as qmath
 import xree.ree as ree_module
 import xree.states as states_module
+from xree.config import default_tolerances
 from xree import DensityMatrix, compute_ree, named_state, to_density_matrix, x_state
 from xree.cli import EXIT_INVALID, main
 from xree.errors import InvalidStateError
@@ -271,3 +272,49 @@ class TestDiagnostics:
         assert result.branch == BRANCH_FAILURE
         assert result.diagnostics == ree_module.solve_theorem3(p).diagnostics
         assert result.diagnostics.endswith("(0 brackets, 0 rejected)")
+
+
+# one tolerance at a time, set so that every solution fails its check, and
+# the text of the problem it adds
+VALIDATION_PROBLEMS = [
+    pytest.param("residual_validation", -1.0, "; coupled-equation residual ", id="residual"),
+    pytest.param("y_edge", -1e-300, "; edge condition y = sqrt(r1 r4) violated by ", id="y-edge"),
+    pytest.param("simplex", -1.0, "; CSS validation error: negative population in ", id="simplex"),
+    pytest.param("edge_validation", -1.0, "; partial-transpose edge eigenvalue ", id="edge"),
+    pytest.param("dual_path_validation", -1.0, "; parametric REE ", id="dual-path"),
+]
+
+
+@pytest.mark.parametrize("field, value, problem", VALIDATION_PROBLEMS)
+@pytest.mark.parametrize(
+    "state, branch",
+    [
+        pytest.param(
+            lambda: from_density_matrix(named_state("vp", 0.5, 0.3, 0.2)),
+            BRANCH_THEOREM1,
+            id="theorem1",
+        ),
+        pytest.param(
+            lambda: from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15)),
+            BRANCH_THEOREM2,
+            id="theorem2",
+        ),
+        pytest.param(lambda: x_state(*astuple(RAINS_PARAMS)), BRANCH_THEOREM3, id="rains"),
+    ],
+)
+def test_each_validation_problem_fails_the_solution(state, branch, field, value, problem):
+    # the states are built at the default tolerances; only compute_ree
+    # sees the changed one
+    p = state()
+    assert compute_ree(p).branch == branch
+    result = compute_ree(p, replace(default_tolerances(), **{field: value}))
+    assert result.branch == BRANCH_FAILURE
+    assert (result.ree, result.css, result.edge_min_eig) == (None, None, None)
+    if branch == BRANCH_THEOREM3 and field == "residual_validation":
+        # the Theorem 3 solver drops a root over the residual bound itself
+        assert result.diagnostics.endswith("(1 brackets, 1 rejected)")
+        return
+    assert result.diagnostics.startswith(f"{branch} solution failed validation{problem}")
+    if field == "dual_path_validation":
+        assert " vs spectral " in result.diagnostics
+        assert result.diagnostics.endswith(" disagree")
