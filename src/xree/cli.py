@@ -9,6 +9,7 @@ shipped under xree/schemas; scan output is CSV with a fixed header.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -216,12 +217,8 @@ def cmd_compute(args) -> int:
     if args.bits:
         doc["ree_bits"] = None if result.ree is None else result.ree / LN2
     if result.css is not None:
-        c = result.css
-        doc["css"] = {
-            "r1": c.r1, "r2": c.r2, "r3": c.r3, "r4": c.r4,
-            "y": c.y, "phi": c.phi, "x": c.x,
-        }
-        doc["css_matrix"] = _matrix_to_pairs(css_to_density_matrix(c).matrix)
+        doc["css"] = dataclasses.asdict(result.css)
+        doc["css_matrix"] = _matrix_to_pairs(css_to_density_matrix(result.css).matrix)
     if args.oracle:
         cfg = _oracle_config_from_args(args)
         val = oracle_validate(params, result, cfg)

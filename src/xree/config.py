@@ -1,8 +1,16 @@
-"""Centralized numerical tolerances.
+"""Numerical tolerances that callers may set.
 
-Every threshold used by the library lives in one frozen dataclass so that
-reproducibility experiments can override the whole knob surface from a
-single JSON file (see the REE_TOL_OVERRIDE environment variable).
+The frozen dataclass holds the 15 thresholds that something outside
+their reading module sets or reads, and a JSON file named by the
+REE_TOL_OVERRIDE environment variable may override any of them. The
+tests set the validation bounds (residual_validation, edge_validation,
+dual_path_validation, y_edge, simplex, psd, trace) and the solver bounds
+(sign_residual, root_bisect_tol, root_value_cap) one at a time, and read
+the spectral cut-offs (eigenvalue_clamp, support_eigenvalue,
+support_leak); the benchmark sets root_grid_points; eig_hermitian_pre
+reaches hermitian_eig with the whole set. A threshold nothing else sets
+is a constant of the one module that reads it, and an override file that
+names one exits as an unknown field.
 """
 
 from __future__ import annotations
@@ -19,13 +27,9 @@ _ENV_VAR = "REE_TOL_OVERRIDE"
 @dataclass(frozen=True)
 class Tolerances:
     # state validation
-    hermiticity: float = 1e-12
     trace: float = 1e-12
     psd: float = 1e-10
     simplex: float = 1e-12
-    coherence_slack: float = 1e-12
-    family_sparsity: float = 1e-10
-    cos_phi_min: float = 1e-9
 
     # eigensolver input check and entropy eigenvalue cut-off
     eig_hermitian_pre: float = 1e-10
@@ -35,14 +39,7 @@ class Tolerances:
     support_eigenvalue: float = 1e-12
     support_leak: float = 1e-10
 
-    # classification and branch routing
-    entanglement_margin: float = 1e-14
-    branch_zero: float = 1e-12
-    branch_equal: float = 1e-12
-
     # solver internals
-    series_z_switch: float = 1e-6
-    quadratic_sign: float = 1e-10
     sign_residual: float = 1e-8
     root_grid_points: int = 2000
     root_bisect_tol: float = 1e-13
@@ -53,9 +50,6 @@ class Tolerances:
     edge_validation: float = 1e-9
     dual_path_validation: float = 1e-9
     y_edge: float = 1e-10
-
-    # oracle
-    oracle_support_mix: float = 1e-9
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):

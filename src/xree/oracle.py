@@ -32,6 +32,7 @@ from .states import (
 )
 
 _WEIGHT_FLOOR = 1e-12
+_SUPPORT_MIX = 1e-9
 # Nelder-Mead fatol, and the least gain that starts another run on a seed
 _CONVERGENCE_TOL = 1e-10
 _NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL, "adaptive": True}
@@ -285,7 +286,7 @@ def oracle_ree(
     tr_rho_ln_rho = float(
         sum(v * math.log(v) for v in eigvals if v > tol.eigenvalue_clamp)
     )
-    mix = tol.oracle_support_mix
+    mix = _SUPPORT_MIX
     eye_mix = mix * np.eye(4) / 4.0
 
     def objective(x: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from .errors import InvalidStateError, NumericalError
 
 DIM = 4
 LN2 = math.log(2.0)
+_HERMITICITY = 1e-12
 
 
 def _as_matrix(m, stack: bool = False) -> np.ndarray:
@@ -44,7 +45,7 @@ class DensityMatrix:
         tol = tol or default_tolerances()
         a = _as_matrix(m)
         herm_dev = float(np.max(np.abs(a - a.conj().T)))
-        if herm_dev > tol.hermiticity:
+        if herm_dev > _HERMITICITY:
             raise InvalidStateError(
                 f"matrix is not Hermitian: max |m - m^dag| = {herm_dev:.3e}"
             )

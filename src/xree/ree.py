@@ -61,6 +61,14 @@ BRANCH_THEOREM2 = "theorem2"
 BRANCH_THEOREM3 = "theorem3"
 BRANCH_FAILURE = "ansatz_failure"
 
+# routing thresholds of _branch_of; solve_theorem1 also takes a2 - a3 below
+# _BRANCH_ZERO as zero when it forms the multiplier
+_BRANCH_ZERO = 1e-12
+_BRANCH_EQUAL = 1e-12
+
+_SERIES_Z_SWITCH = 1e-6
+_QUADRATIC_SIGN = 1e-10
+
 
 @dataclass(frozen=True)
 class CssSolution:
@@ -116,18 +124,17 @@ def _atanh_excess(tau: float) -> float:
     return math.atanh(tau) - tau
 
 
-def ell_over_z(s: float, z: float, tol: Tolerances | None = None) -> float:
+def ell_over_z(s: float, z: float) -> float:
     """The ratio ell/z = ln((s+z)/(s-z)) / z, finite at z = 0.
 
     For small z this is evaluated by the series
     (2/s) (1 + z^2/(3 s^2) + z^4/(5 s^4) + ...), avoiding 0/0.
     """
-    tol = tol or default_tolerances()
     if s <= 0.0:
         raise LogDomainError("r2 + r3 must be positive")
     if z < 0.0 or z >= s:
         raise LogDomainError(f"need 0 <= z < r2 + r3, got z={z!r}, s={s!r}")
-    if z < tol.series_z_switch:
+    if z < _SERIES_Z_SWITCH:
         t = (z / s) ** 2
         return (2.0 / s) * (1.0 + t * (1.0 / 3.0 + t * (1.0 / 5.0 + t / 7.0)))
     return 2.0 * math.atanh(z / s) / z
@@ -228,10 +235,10 @@ def ree_from_css(
     z = math.sqrt(u * u + 4.0 * c.y * c.y)
     det_mid = c.r2 * c.r3 - c.y * c.y
     odd = 0.5 * (p.a2 - p.a3) * u + 2.0 * p.d * c.y
-    if z < tol.series_z_switch:
+    if z < _SERIES_Z_SWITCH:
         if det_mid <= 0.0:
             raise LogDomainError("term ln(r2 r3 - r1 r4): argument not positive")
-        cross += 0.5 * (p.a2 + p.a3) * math.log(det_mid) + odd * ell_over_z(s, z, tol)
+        cross += 0.5 * (p.a2 + p.a3) * math.log(det_mid) + odd * ell_over_z(s, z)
     else:
         m_plus = 0.5 * (s + z)
         m_minus = 0.5 * (s - z)
@@ -266,6 +273,17 @@ def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> 
     return ReeResult(ree, css, branch, max(abs(r) for r in residuals))
 
 
+def _branch_of(p: XStateParams) -> str:
+    """The branch p belongs to: the one routing rule of the solvers."""
+    if not is_entangled(p):
+        return BRANCH_SEPARABLE
+    if p.a1 < _BRANCH_ZERO and p.a4 < _BRANCH_ZERO:
+        return BRANCH_THEOREM1
+    if abs(p.a2 - p.a3) < _BRANCH_EQUAL:
+        return BRANCH_THEOREM2
+    return BRANCH_THEOREM3
+
+
 def _multiplier(r1: float, r4: float, a1: float) -> float:
     """x = (r1 - a1)(r1 + r4)/(r1 r4), from the first coupled equation."""
     return (r1 - a1) * (r1 + r4) / (r1 * r4)
@@ -279,14 +297,10 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     the input; ree_from_css evaluates it.
     """
     tol = tol or default_tolerances()
-    if p.a1 >= tol.branch_zero or p.a4 >= tol.branch_zero:
-        raise WrongBranchError(
-            f"theorem1 requires a1 = a4 = 0; got a1={p.a1!r}, a4={p.a4!r}"
-        )
-    if not is_entangled(p, tol):
-        raise WrongBranchError("theorem1 requires an entangled input")
+    if (branch := _branch_of(p)) != BRANCH_THEOREM1:
+        raise WrongBranchError(f"theorem1 does not apply: {p!r} is {branch}")
     gap = abs(p.a2 - p.a3)
-    if gap > tol.branch_zero:
+    if gap > _BRANCH_ZERO:
         x = (2.0 * p.d / gap) * math.log(max(p.a2, p.a3) / min(p.a2, p.a3))
     else:
         x = 2.0 * p.d / p.a2
@@ -307,14 +321,8 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     y^2 - d y + r2 (r1 - a1) = 0. ree_from_css evaluates the REE.
     """
     tol = tol or default_tolerances()
-    if p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
-        raise WrongBranchError("theorem2 requires a1 or a4 nonzero")
-    if abs(p.a2 - p.a3) >= tol.branch_equal:
-        raise WrongBranchError(
-            f"theorem2 requires a2 = a3; got difference {p.a2 - p.a3!r}"
-        )
-    if not is_entangled(p, tol):
-        raise WrongBranchError("theorem2 requires an entangled input")
+    if (branch := _branch_of(p)) != BRANCH_THEOREM2:
+        raise WrongBranchError(f"theorem2 does not apply: {p!r} is {branch}")
     a1, a2, a4, d = p.a1, p.a2, p.a4, p.d
     f_norm = 2.0 * (a1 + a2 + a4 + d) * (a1 + a2 + a4 - d)
     delta = d * math.sqrt(
@@ -332,7 +340,7 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
         quad = abs(y * y - d * y + r2 * (r1 - a1))
         if best is None or quad < best[0]:
             best = (quad, r1, r2, r4, y)
-    if best is None or best[0] > tol.quadratic_sign:
+    if best is None or best[0] > _QUADRATIC_SIGN:
         raise NumericalError(
             "no sign choice satisfies the quadratic side condition "
             f"y^2 - d y + r2 (r1 - a1) = 0 (best residual: "
@@ -626,7 +634,7 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     meets the sign side condition and its middle block is PSD.
     """
     for p in ps:
-        if not is_entangled(p, tol):
+        if not is_entangled(p):
             raise WrongBranchError("theorem3 requires an entangled input")
     spans = [_t3_span(p) for p in ps]
     columns = np.array([_t3_constants(p) for p in ps], dtype=float).reshape(len(ps), -1).T
@@ -716,12 +724,13 @@ def _compute_chunk(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
     results: list[ReeResult | None] = []
     general = []
     for p in ps:
-        if not is_entangled(p, tol):
+        branch = _branch_of(p)
+        if branch == BRANCH_SEPARABLE:
             css = css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0)
             results.append(ReeResult(0.0, css, BRANCH_SEPARABLE, 0.0))
-        elif p.a1 < tol.branch_zero and p.a4 < tol.branch_zero:
+        elif branch == BRANCH_THEOREM1:
             results.append(solve_theorem1(p, tol))
-        elif abs(p.a2 - p.a3) < tol.branch_equal:
+        elif branch == BRANCH_THEOREM2:
             results.append(solve_theorem2(p, tol))
         else:
             general.append(len(results))
@@ -809,14 +818,7 @@ def _validated(
                 ),
             )
         elif slot is not None:
-            result = ReeResult(
-                result.ree,
-                result.css,
-                result.branch,
-                result.residual_max,
-                result.diagnostics,
-                edge,
-            )
+            result = replace(result, edge_min_eig=edge)
         out.append(result)
     return out
 

@@ -29,6 +29,10 @@ from .qmath import DensityMatrix
 
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 _HALF = complex(0.5, 0.0)
+_COHERENCE_SLACK = 1e-12
+_FAMILY_SPARSITY = 1e-10
+_COS_PHI_MIN = 1e-9
+_ENTANGLEMENT_MARGIN = 1e-14
 
 
 def _check_finite(values, label: str) -> None:
@@ -117,11 +121,11 @@ def input_spectrum_pair(p: XStateParams) -> tuple[float, float]:
 def _check_state(p: XStateParams, tol: Tolerances) -> None:
     """The one validity rule for a family member.
 
-    Rejects d^2 > a2 a3 + coherence_slack, and applies the trace and PSD
+    Rejects d^2 > a2 a3 + _COHERENCE_SLACK, and applies the trace and PSD
     bounds of DensityMatrix.from_matrix to the closed-form spectrum, so no
     eigendecomposition runs.
     """
-    if p.d * p.d > p.a2 * p.a3 + tol.coherence_slack:
+    if p.d * p.d > p.a2 * p.a3 + _COHERENCE_SLACK:
         raise InvalidStateError(
             f"coherence {p.d!r} exceeds sqrt(a2*a3) = "
             f"{math.sqrt(max(p.a2 * p.a3, 0.0))!r}; matrix would not be PSD"
@@ -145,7 +149,7 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
     """
     tol = tol or default_tolerances()
     _check_finite((b.r, b.s, b.g_x, b.g_z, b.phi), "Bloch parameters")
-    if abs(math.cos(b.phi)) < tol.cos_phi_min:
+    if abs(math.cos(b.phi)) < _COS_PHI_MIN:
         raise SingularPhaseError(
             "cos(phi) is numerically zero; the coherence magnitude cannot be "
             "recovered from g_x -- supply d directly via x_state()"
@@ -213,7 +217,7 @@ def from_density_matrix(
 ) -> XStateParams:
     """Read parameters off a density matrix in the family.
 
-    Rejects matrices with any entry of magnitude >= the sparsity tolerance
+    Rejects matrices with any entry of magnitude >= _FAMILY_SPARSITY
     outside the diagonal and the (1,2)/(2,1) coherence pair; the error lists
     the offending entries. Note the (0,3) corner is part of the forbidden
     set, which is how general Bell-diagonal states with unequal first two
@@ -226,8 +230,8 @@ def from_density_matrix(
         for j in range(4):
             if (i, j) in _X_PATTERN:
                 continue
-            mag = abs(m[i, j])
-            if mag >= tol.family_sparsity:
+            mag = float(abs(m[i, j]))
+            if mag >= _FAMILY_SPARSITY:
                 offending.append((i, j, mag))
     if offending:
         desc = ", ".join(f"({i},{j})={mag:.3e}" for i, j, mag in offending)
@@ -241,14 +245,13 @@ def from_density_matrix(
     return x_state(*(float(m[i, i].real) for i in range(4)), d, phi, tol=tol)
 
 
-def is_entangled(p: XStateParams, tol: Tolerances | None = None) -> bool:
-    """True iff d^2 > a1 a4 beyond the margin (PPT criterion for the family).
+def is_entangled(p: XStateParams) -> bool:
+    """True iff d^2 > a1 a4 + _ENTANGLEMENT_MARGIN (PPT criterion for the family).
 
     The boundary d^2 = a1 a4 is classified separable: such states are their
     own closest separable state.
     """
-    tol = tol or default_tolerances()
-    return p.d * p.d > p.a1 * p.a4 + tol.entanglement_margin
+    return p.d * p.d > p.a1 * p.a4 + _ENTANGLEMENT_MARGIN
 
 
 def bell_ket(k: int) -> np.ndarray:

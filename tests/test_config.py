@@ -13,6 +13,11 @@ import pytest
 from xree.config import Tolerances
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# former fields, now constants of the one module that reads each
+MADE_CONSTANTS = (
+    "hermiticity", "coherence_slack", "family_sparsity", "cos_phi_min", "entanglement_margin",
+    "branch_zero", "branch_equal", "series_z_switch", "quadratic_sign", "oracle_support_mix",
+)
 
 
 @pytest.mark.parametrize(
@@ -25,6 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         pytest.param({"root_grid_points": -5}, id="negative-grid-points"),
         pytest.param({"psd": None}, id="null-psd"),
         pytest.param({"branch_near_equal": 1e-8}, id="deleted-field"),
+        pytest.param(dict.fromkeys(MADE_CONSTANTS, 1e-12), id="fields-made-constants"),
     ],
 )
 def test_bad_override_exits_invalid_without_hanging(tmp_path, override):
@@ -84,3 +90,12 @@ def test_every_tolerance_is_read_outside_config():
         f.name for f in dataclasses.fields(Tolerances) if not re.search(rf"\.{f.name}\b", code)
     ]
     assert unread == []
+
+
+def test_fields_made_constants_are_unknown(tmp_path):
+    path = tmp_path / "tols.json"
+    path.write_text(json.dumps(dict.fromkeys(MADE_CONSTANTS, 1e-12)))
+    with pytest.raises(ValueError) as err:
+        Tolerances.from_file(str(path))
+    assert str(err.value) == "unknown tolerance fields: " + ", ".join(sorted(MADE_CONSTANTS))
+    assert len(dataclasses.fields(Tolerances)) == 15

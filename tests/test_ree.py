@@ -34,12 +34,15 @@ from xree.ree import (
     BRANCH_THEOREM1,
     BRANCH_THEOREM2,
     BRANCH_THEOREM3,
+    _BRANCH_EQUAL,
+    _BRANCH_ZERO,
     _bisect_t3,
+    _branch_of,
     _multiplier,
     _t3_equation,
     input_spectrum_pair,
 )
-from xree.states import RAINS_PARAMS
+from xree.states import _ENTANGLEMENT_MARGIN, RAINS_PARAMS, XStateParams
 
 from conftest import random_entangled_params, random_separable_params
 
@@ -334,6 +337,61 @@ class TestComputeReeDispatch:
             assert result.diagnostics.startswith(
                 "no valid root of the one-variable reduction"
             )
+
+
+def _threshold_states():
+    """(state, its branch) pairs just below and just above each routing threshold."""
+    cases = []
+    for scale, below in ((0.5, True), (2.0, False)):
+        t = scale * _BRANCH_ZERO
+        # a1 and a4 at the branch-zero threshold, one or both of them
+        for a1, a4 in ((t, t), (t, 0.0), (0.0, t)):
+            half = 0.5 * (1.0 - a1 - a4)
+            mid = XStateParams(a1, half, half, a4, 0.3)
+            skew = XStateParams(a1, 0.6 - a1, 0.4 - a4, a4, 0.3)
+            cases.append((mid, BRANCH_THEOREM1 if below else BRANCH_THEOREM2))
+            cases.append((skew, BRANCH_THEOREM1 if below else BRANCH_THEOREM3))
+        # a2 - a3 at the branch-equal threshold
+        e = 0.5 * scale * _BRANCH_EQUAL
+        near = XStateParams(0.1, 0.4 + e, 0.4 - e, 0.1, 0.3)
+        cases.append((near, BRANCH_THEOREM2 if below else BRANCH_THEOREM3))
+        # d^2 - a1 a4 at the entanglement margin, on each entangled branch
+        m = scale * _ENTANGLEMENT_MARGIN
+        for a1, a2, a3, a4, branch in (
+            (0.0, 0.6, 0.4, 0.0, BRANCH_THEOREM1),
+            (0.1, 0.4, 0.4, 0.1, BRANCH_THEOREM2),
+            (0.1, 0.45, 0.35, 0.1, BRANCH_THEOREM3),
+        ):
+            d = math.sqrt(a1 * a4 + m)
+            cases.append((XStateParams(a1, a2, a3, a4, d), BRANCH_SEPARABLE if below else branch))
+    return cases
+
+
+class TestRouting:
+    def _draws(self):
+        rng = np.random.default_rng(16)
+        draws = [(random_separable_params(rng), BRANCH_SEPARABLE) for _ in range(25)]
+        for kind in (BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3):
+            draws += [(random_entangled_params(rng, kind), kind) for _ in range(25)]
+        return draws
+
+    def test_each_state_routes_to_its_branch(self):
+        for p, branch in self._draws() + _threshold_states():
+            assert _branch_of(p) == branch, p
+        assert {branch for _, branch in _threshold_states()} == {
+            BRANCH_SEPARABLE, BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3,
+        }
+
+    def test_solvers_reject_exactly_the_other_branches(self):
+        solvers = ((solve_theorem1, BRANCH_THEOREM1), (solve_theorem2, BRANCH_THEOREM2))
+        for p, branch in self._draws() + _threshold_states():
+            for solver, own in solvers:
+                if branch == own:
+                    assert solver(p).branch in (own, BRANCH_FAILURE)
+                else:
+                    with pytest.raises(WrongBranchError):
+                        solver(p)
+            assert compute_ree(p).branch in (branch, BRANCH_FAILURE), p
 
 
 class TestClosedFormFamilies:

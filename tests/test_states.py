@@ -87,6 +87,14 @@ class TestDensityMatrixRoundTrip:
         corners = {(i, j) for i, j, _ in err.value.entries}
         assert (0, 3) in corners and (3, 0) in corners
 
+    def test_rejected_entries_are_python_floats(self):
+        rho = named_state("bell_diagonal", 0.4, 0.1, 0.3, 0.2)
+        with pytest.raises(NotInFamilyError) as err:
+            from_density_matrix(rho)
+        assert err.value.entries == [(0, 3, 0.14999999999999997), (3, 0, 0.14999999999999997)]
+        assert all(type(mag) is float for _, _, mag in err.value.entries)
+        assert "(0,3)=1.500e-01, (3,0)=1.500e-01" in str(err.value)
+
     def test_balanced_bell_diagonal_accepted(self):
         rho = named_state("bell_diagonal", 0.25, 0.25, 0.3, 0.2)
         p = from_density_matrix(rho)
