@@ -9,7 +9,8 @@ true REE. The optimizer is derivative-free simplex descent (Nelder-Mead)
 run from several seeds: the closed-form CSS when one exists (decomposed
 into an explicit product mixture), the decohered diagonal of the input,
 the PPT projection of the input within the family, and a configurable
-number of random restarts.
+number of random restarts. The seeds run in lockstep, so each round values
+the points every seed needs with one batched objective call.
 """
 
 from __future__ import annotations
@@ -35,22 +36,135 @@ _WEIGHT_FLOOR = 1e-12
 _SUPPORT_MIX = 1e-9
 # Nelder-Mead fatol, and the least gain that starts another run on a seed
 _CONVERGENCE_TOL = 1e-10
-_NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL, "adaptive": True}
+_NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL}
+# rows per objective call: valuing the 891 first-round points of 11 seeds at
+# K = 16 in one call raises peak memory by about 3.5 MB over blocks of 128
+_BLOCK_ROWS = 128
+_EYE_MIX = _SUPPORT_MIX * np.eye(4) / 4.0
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call.
+def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259 (2012)).
 
-    Loading scipy.optimize costs more than the rest of a cold `import xree`,
-    so only code that runs the oracle pays for it. `oracle_ree` looks this name up as a
+    A generator: it yields each (m, n) stack of points it needs, is sent
+    their m values, and returns the final simplex, its values and the
+    evaluation count. It is scipy.optimize.minimize(method="Nelder-Mead",
+    adaptive=True) step for step, with the same bits: the initial simplex,
+    both sorts after it, and the maxfev cut, which still writes the shrink
+    row whose evaluation finds the budget spent. The adaptive reflection
+    coefficient is 1, so no product below shows it.
+    """
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    axis = np.arange(n)
+    sim[axis + 1, axis] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    fsim[:maxfev] = yield sim[:maxfev]
+    nfev = min(maxfev, n + 1)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nfev < maxfev:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                m = min(n, maxfev - nfev)
+                sim[1 : m + 2] = shrunk[: m + 1]
+                if m:
+                    fsim[1 : m + 1] = yield shrunk[:m]
+                    nfev += m
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim, fsim, nfev
+
+
+@dataclass(frozen=True)
+class SimplexRuns:
+    """One Nelder-Mead run per start: best point, value, evaluations, success."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfevs: np.ndarray
+    successes: np.ndarray
+
+    @property
+    def nfev(self) -> int:
+        return int(self.nfevs.sum())
+
+    @property
+    def success(self) -> bool:
+        return bool(self.successes.all())
+
+
+def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
+    """Run adaptive Nelder-Mead from every row of x0 in lockstep.
+
+    fun maps an (m, n) stack of points to their m values. Each round values
+    the points every live run needs with calls of at most _BLOCK_ROWS rows.
+    maxfev is one budget or one per row. Every run gives the bits of
+    scipy.optimize.minimize(fun_row, x0_row, method="Nelder-Mead",
+    options={"maxfev": budget, "maxiter": budget, "xatol": xatol,
+    "fatol": fatol, "adaptive": True}). `oracle_ree` looks this name up as a
     module global, so wrapping `xree.oracle.minimize` sees every call.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+    if method != "Nelder-Mead":
+        raise ValueError(f"unsupported method {method!r}; only Nelder-Mead runs here")
+    budgets = np.broadcast_to(maxfev, len(x0))
+    runs = [_nelder_mead(x, int(b), xatol, fatol) for x, b in zip(x0, budgets)]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    done = [None] * len(runs)
+    while pending:
+        points = np.concatenate(list(pending.values()))
+        values = np.concatenate(
+            [fun(points[i : i + _BLOCK_ROWS]) for i in range(0, len(points), _BLOCK_ROWS)]
+        )
+        asked, pending, start = pending, {}, 0
+        for i, rows in asked.items():
+            try:
+                pending[i] = runs[i].send(values[start : start + len(rows)])
+            except StopIteration as stop:
+                done[i] = stop.value
+            start += len(rows)
+    sims, fsims, nfevs = zip(*done)
+    nfevs = np.array(nfevs)
+    return SimplexRuns(
+        np.array([sim[0] for sim in sims]),
+        np.array([np.min(fsim) for fsim in fsims]),
+        nfevs,
+        nfevs < budgets,
+    )
 
 
 @dataclass(frozen=True)
@@ -83,8 +197,9 @@ class OracleConfig:
 class OracleResult:
     """Best separable state found and the certified upper bound it gives.
 
-    converged is scipy's success flag for the winning seed's last Nelder-Mead
-    run (True if the bound is a seed's unimproved start). It is False
+    converged is the success flag of the winning seed's last Nelder-Mead
+    run: its simplex met xatol and fatol before the evaluation budget ran
+    out (True if the bound is a seed's unimproved start). It is False
     whenever the evaluation budget runs out: at the default OracleConfig,
     every call. It does not say whether the bound is close to the REE.
     """
@@ -117,9 +232,13 @@ class OracleValidation:
 def product_mixture_matrix(
     weights: np.ndarray, qubit_a: np.ndarray, qubit_b: np.ndarray
 ) -> np.ndarray:
-    """Assemble sum_k w_k |a_k b_k><a_k b_k| as a dense 4x4 matrix."""
-    kets = (qubit_a[:, :, None] * qubit_b[:, None, :]).reshape(len(weights), 4)
-    return (weights[:, None] * kets).T @ kets.conj()
+    """Assemble sum_k w_k |a_k b_k><a_k b_k| as a dense 4x4 matrix.
+
+    Leading axes stack mixtures: weights (..., K) and kets (..., K, 2) give
+    (..., 4, 4).
+    """
+    kets = (qubit_a[..., :, None] * qubit_b[..., None, :]).reshape(*weights.shape, 4)
+    return (weights[..., None] * kets).swapaxes(-1, -2) @ kets.conj()
 
 
 def separable_x_decomposition(
@@ -208,20 +327,38 @@ def _encode(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) -> np.n
 
 
 def _decode(x: np.ndarray, k_terms: int):
-    """Weights and both qubits' kets; x[K:] is read as (qubit, theta/phi, term).
+    """Weights and both qubits' kets; x[..., K:] is read as (qubit, theta/phi, term).
 
     Bit-identical to stacking [cos(theta/2), sin(theta/2) exp(i phi)] per
-    qubit; the seeded oracle's output bytes depend on that.
+    qubit; the seeded oracle's output bytes depend on that. Leading axes of
+    x stack points.
     """
-    logits = x[:k_terms]
-    w = np.exp(logits - logits.max())
-    w /= w.sum()
-    angles = x[k_terms:].reshape(2, 2, k_terms)
-    half = angles[:, 0] / 2.0
-    kets = np.empty((2, k_terms, 2), complex)
-    kets[:, :, 0] = np.cos(half)
-    kets[:, :, 1] = np.sin(half) * np.exp(1j * angles[:, 1])
-    return w, kets[0], kets[1]
+    lead = x.shape[:-1]
+    logits = x[..., :k_terms]
+    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    angles = x[..., k_terms:].reshape(*lead, 2, 2, k_terms)
+    half = angles[..., 0, :] / 2.0
+    kets = np.empty((*lead, 2, k_terms, 2), complex)
+    kets[..., 0] = np.cos(half)
+    kets[..., 1] = np.sin(half) * np.exp(1j * angles[..., 1, :])
+    return w, kets[..., 0, :, :], kets[..., 1, :, :]
+
+
+def _objective_many(x: np.ndarray, rm: np.ndarray, tr_rho_ln_rho: float) -> np.ndarray:
+    """tr(rho ln rho) - tr(rho ln sigma') for each row of x, sigma' = (1 - mix) sigma + mix I/4.
+
+    Row s is bit for bit the value of the same formula on x[s] alone; the
+    seeded oracle's output bytes depend on that, and on the forms used here
+    (a 4-term einsum for the last dot changes the last bit on half the rows).
+    """
+    sigma = product_mixture_matrix(*_decode(x, x.shape[-1] // 5))
+    sigma *= 1.0 - _SUPPORT_MIX
+    sigma += _EYE_MIX
+    vals, vecs = np.linalg.eigh(sigma)
+    quad = np.real(np.einsum("sij,sij->sj", vecs.conj(), rm @ vecs))
+    log_vals = np.log(np.maximum(vals, 1e-300))
+    return tr_rho_ln_rho - (log_vals[:, None, :] @ quad[:, :, None])[:, 0, 0]
 
 
 def _closed_form_for(rho: DensityMatrix, tol: Tolerances) -> ReeResult | None:
@@ -286,16 +423,9 @@ def oracle_ree(
     tr_rho_ln_rho = float(
         sum(v * math.log(v) for v in eigvals if v > tol.eigenvalue_clamp)
     )
-    mix = _SUPPORT_MIX
-    eye_mix = mix * np.eye(4) / 4.0
 
-    def objective(x: np.ndarray) -> float:
-        sigma = product_mixture_matrix(*_decode(x, k))
-        sigma *= 1.0 - mix
-        sigma += eye_mix
-        vals, vecs = np.linalg.eigh(sigma)
-        quad = np.real(np.einsum("ij,ij->j", vecs.conj(), rm @ vecs))
-        return tr_rho_ln_rho - float(np.log(np.maximum(vals, 1e-300)) @ quad)
+    def objective(x: np.ndarray) -> np.ndarray:
+        return _objective_many(x, rm, tr_rho_ln_rho)
 
     def true_value(w, ka, kb) -> float:
         sigma = product_mixture_matrix(w, ka, kb)
@@ -317,35 +447,35 @@ def oracle_ree(
             )
         )
 
+    # Each seed reruns Nelder-Mead from its last point while a run gains at
+    # least _CONVERGENCE_TOL and budget is left; all live seeds run together.
+    x_cur = np.array(starts)
+    f_prev = objective(x_cur)
+    budget = np.full(len(starts), cfg.max_iterations)
+    succeeded = np.zeros(len(starts), bool)
+    live = np.arange(len(starts))
+    while live.size:
+        res = minimize(
+            objective, x_cur[live], method="Nelder-Mead", maxfev=budget[live], **_NELDER_MEAD
+        )
+        budget[live] -= res.nfevs
+        x_cur[live] = res.x
+        succeeded[live] = res.successes
+        improving = ~(f_prev[live] - res.fun < _CONVERGENCE_TOL)
+        f_prev[live] = res.fun
+        live = live[improving & (budget[live] > 0)]
+
     best = None  # (value, mixture, seed index, nfev, converged)
     for index, x0 in enumerate(starts):
         start_mix = _decode(x0, k)
         start_val = true_value(*start_mix)
         if best is None or start_val < best[0]:
             best = (start_val, start_mix, index, 0, True)
-        budget = cfg.max_iterations
-        x_cur = x0
-        f_prev = objective(x0)
-        nfev = 0
-        converged = False
-        while budget > 0:
-            res = minimize(
-                objective,
-                x_cur,
-                method="Nelder-Mead",
-                options={"maxfev": budget, "maxiter": budget, **_NELDER_MEAD},
-            )
-            nfev += res.nfev
-            budget -= res.nfev
-            x_cur = res.x
-            converged = bool(res.success)
-            if f_prev - res.fun < _CONVERGENCE_TOL:
-                break
-            f_prev = res.fun
-        end_mix = _decode(x_cur, k)
+        end_mix = _decode(x_cur[index], k)
         end_val = true_value(*end_mix)
         if end_val < best[0]:
-            best = (end_val, end_mix, index, nfev, converged)
+            nfev = cfg.max_iterations - int(budget[index])
+            best = (end_val, end_mix, index, nfev, bool(succeeded[index]))
 
     value, (w, ka, kb), index, nfev, converged = best
     sigma = DensityMatrix.from_matrix(product_mixture_matrix(w, ka, kb), tol)

@@ -92,6 +92,19 @@ def test_oracle_minimizer_is_a_wrappable_module_attribute(monkeypatch):
     assert math.log(2.0) - 1e-9 <= res.ree_upper_bound < math.log(2.0) + 1e-6
 
 
+def test_oracle_runs_without_scipy():
+    got = run_fresh(
+        """
+import json, sys
+from xree import OracleConfig, named_state, oracle_ree
+cfg = OracleConfig(num_product_terms=4, restarts=1, max_iterations=50)
+oracle_ree(named_state("vp", 1.0, 0.0, 0.0), cfg)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    )
+    assert got == []
+
+
 def test_bad_override_is_not_read_at_import():
     # a tolerance read during import would die with a traceback before
     # cli.main could report the bad override file

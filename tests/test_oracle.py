@@ -23,7 +23,13 @@ from xree import (
 )
 from xree.errors import InvalidStateError
 from xree.oracle import (
+    _NELDER_MEAD,
     _decode,
+    _encode,
+    _nelder_mead,
+    _objective_many,
+    _pad_mixture,
+    minimize,
     product_mixture_matrix,
     separable_x_decomposition,
     structure_fingerprint,
@@ -191,6 +197,153 @@ class TestDecode:
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert np.array_equal(got, want)
                     assert got.tobytes() == want.tobytes()
+
+
+def _objective_per_point(x, rm, tr_rho_ln_rho):
+    """The one-point objective formula that _objective_many must reproduce per row."""
+    w, ka, kb = _decode_per_qubit(x, len(x) // 5)
+    kets = (ka[:, :, None] * kb[:, None, :]).reshape(len(w), 4)
+    sigma = (w[:, None] * kets).T @ kets.conj()
+    sigma *= 1.0 - 1e-9
+    sigma += 1e-9 * np.eye(4) / 4.0
+    vals, vecs = np.linalg.eigh(sigma)
+    quad = np.real(np.einsum("ij,ij->j", vecs.conj(), rm @ vecs))
+    return tr_rho_ln_rho - float(np.log(np.maximum(vals, 1e-300)) @ quad)
+
+
+def _oracle_objective(params):
+    """(batched objective, rho matrix, tr rho ln rho) as oracle_ree builds them."""
+    rm = to_density_matrix(params).matrix
+    tr_rho_ln_rho = float(
+        sum(v * math.log(v) for v in np.linalg.eigvalsh(rm) if v > 1e-15)
+    )
+    return (lambda x: _objective_many(x, rm, tr_rho_ln_rho)), rm, tr_rho_ln_rho
+
+
+SEPARABLE_DIAGONAL = x_state(0.4, 0.3, 0.2, 0.1, 0.0)
+
+
+def _warm_start(params, k):
+    return _encode(*_pad_mixture(*separable_x_decomposition(params), k))
+
+
+class TestObjectiveMany:
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    def test_rows_bit_identical_to_per_point_formula(self, k):
+        rng = np.random.default_rng(1017)
+        rows = [rng.normal(0.0, scale, 5 * k) for scale in (1e-3, 1.0, 1e2) for _ in range(60)]
+        # padded zero-weight terms and rank-deficient product mixtures
+        for params in (
+            SEPARABLE_DIAGONAL,
+            x_state(1.0, 0.0, 0.0, 0.0, 0.0),
+            x_state(0.25, 0.25, 0.25, 0.25, 0.25),
+            css_to_x_params(compute_ree(RAINS_PARAMS).css),
+            random_separable_params(rng),
+        ):
+            try:
+                rows.append(_warm_start(params, k))
+            except InvalidStateError:
+                assert k < 8
+        stack = np.array(rows)
+        for params in (RAINS_PARAMS, SEPARABLE_DIAGONAL, random_entangled_params(rng)):
+            _, rm, tr_rho_ln_rho = _oracle_objective(params)
+            got = _objective_many(stack, rm, tr_rho_ln_rho)
+            want = np.array([_objective_per_point(x, rm, tr_rho_ln_rho) for x in stack])
+            assert got.tobytes() == want.tobytes()
+            for block in (stack[:1], stack[5:133]):
+                assert _objective_many(block, rm, tr_rho_ln_rho).tobytes() == (
+                    np.array([_objective_per_point(x, rm, tr_rho_ln_rho) for x in block]).tobytes()
+                )
+
+
+def _run_alone(fun, x0, maxfev, xatol=1e-9, fatol=1e-10):
+    """Drive one _nelder_mead run: its (sim, fsim, nfev) and its cut budgets.
+
+    A cut budget runs out exactly where an expansion (xe), a contraction
+    (xc) or a shrink (shrunk) starts: it is the evaluation count before that
+    step's first point. The step a yield serves is read off the generator's
+    frame, since the yielded rows are views of that local.
+    """
+    run = _nelder_mead(x0, maxfev, xatol, fatol)
+    cuts = {"xe": [], "xc": [], "shrunk": []}
+    nfev = 0
+    rows = next(run)
+    try:
+        while True:
+            local = run.gi_frame.f_locals
+            for name, found in cuts.items():
+                if rows.base is local.get(name):
+                    found.append(nfev)
+            nfev += len(rows)
+            rows = run.send(fun(rows))
+    except StopIteration as stop:
+        return stop.value, cuts
+
+
+def _scipy_run(fun, x0, budget, xatol, fatol):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    options = {"maxfev": budget, "maxiter": budget, "xatol": xatol, "fatol": fatol}
+    return scipy_optimize.minimize(
+        lambda x: fun(x[None])[0], x0, method="Nelder-Mead", options={**options, "adaptive": True}
+    )
+
+
+def _assert_rows_match_scipy(fun, res, starts, budgets, xatol, fatol):
+    assert res.x.shape == starts.shape
+    assert res.nfev == sum(res.nfevs) and res.success == all(res.successes)
+    for row, (x0, budget) in enumerate(zip(starts, budgets)):
+        want = _scipy_run(fun, x0, int(budget), xatol, fatol)
+        assert res.x[row].tobytes() == want.x.tobytes()
+        assert res.fun[row].hex() == float(want.fun).hex()
+        assert (res.nfevs[row], res.successes[row]) == (want.nfev, want.success)
+        (sim, fsim, nfev), _ = _run_alone(fun, x0, int(budget), xatol, fatol)
+        assert sim.tobytes() == want.final_simplex[0].tobytes()
+        assert fsim.tobytes() == want.final_simplex[1].tobytes()
+        assert nfev == want.nfev
+
+
+class TestLockstepNelderMead:
+    """xree.oracle.minimize against scipy's adaptive Nelder-Mead, bit for bit."""
+
+    @pytest.mark.parametrize("k, horizon", [(4, 1300), (16, 1100)])
+    def test_every_cut_matches_scipy(self, k, horizon):
+        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
+        n = 5 * k
+        warm = _warm_start(SEPARABLE_DIAGONAL, k)
+        cold = np.random.default_rng(0).normal(0.0, 1.0, n)
+        starts, budgets = [], []
+        covered = set()
+        for x0 in (warm, cold):
+            _, cuts = _run_alone(fun, x0, horizon)
+            picks = {1, n, n + 1, n + 2}
+            for name, found in cuts.items():
+                if found:
+                    covered.add(name)
+                    picks.add(found[0])
+            if cuts["shrunk"]:
+                picks |= {cuts["shrunk"][0] + 1, cuts["shrunk"][0] + n - 1}
+            starts += [x0] * len(picks)
+            budgets += sorted(picks)
+        assert covered == {"xe", "xc", "shrunk"}
+        starts, budgets = np.array(starts), np.array(budgets)
+        res = minimize(fun, starts, method="Nelder-Mead", maxfev=budgets, **_NELDER_MEAD)
+        _assert_rows_match_scipy(fun, res, starts, budgets, **_NELDER_MEAD)
+
+    def test_converged_seed_restarts_like_scipy(self):
+        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
+        tols = {"xatol": 1e-2, "fatol": 1e-6}
+        starts = np.array([_warm_start(SEPARABLE_DIAGONAL, 4), np.full(20, 0.5)])
+        first = minimize(fun, starts, method="Nelder-Mead", maxfev=400, **tols)
+        _assert_rows_match_scipy(fun, first, starts, [400, 400], **tols)
+        assert first.successes[0] and first.nfevs[0] < 400
+        left = 400 - first.nfevs[:1]
+        again = minimize(fun, first.x[:1], method="Nelder-Mead", maxfev=left, **tols)
+        _assert_rows_match_scipy(fun, again, first.x[:1], left, **tols)
+
+    def test_other_methods_rejected(self):
+        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
+        with pytest.raises(ValueError):
+            minimize(fun, np.zeros((1, 20)), method="Powell", maxfev=10, **_NELDER_MEAD)
 
 
 class TestOracleValidate:
