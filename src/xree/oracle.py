@@ -37,9 +37,9 @@ _SUPPORT_MIX = 1e-9
 # Nelder-Mead fatol, and the least gain that starts another run on a seed
 _CONVERGENCE_TOL = 1e-10
 _NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL}
-# rows per objective call: valuing the 891 first-round points of 11 seeds at
-# K = 16 in one call raises peak memory by about 3.5 MB over blocks of 128
-_BLOCK_ROWS = 128
+# rows per objective call; a default oracle call's 891 first-round rows peak
+# at 0.7 MB of live arrays in blocks of 32, 1.2 MB in blocks of 128
+_BLOCK_ROWS = 32
 _EYE_MIX = _SUPPORT_MIX * np.eye(4) / 4.0
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -128,6 +128,17 @@ class SimplexRuns:
         return bool(self.successes.all())
 
 
+def _values(fun, stacks) -> np.ndarray:
+    """fun over the rows of all stacks in order, in calls of at most _BLOCK_ROWS rows."""
+    blocks, offset = {}, 0
+    for rows in stacks:
+        for b in range(offset // _BLOCK_ROWS, (offset + len(rows) - 1) // _BLOCK_ROWS + 1):
+            lo = max(0, b * _BLOCK_ROWS - offset)
+            blocks.setdefault(b, []).append(rows[lo : (b + 1) * _BLOCK_ROWS - offset])
+        offset += len(rows)
+    return np.concatenate([fun(np.concatenate(parts)) for parts in blocks.values()])
+
+
 def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
     """Run adaptive Nelder-Mead from every row of x0 in lockstep.
 
@@ -146,12 +157,11 @@ def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
     pending = {i: next(run) for i, run in enumerate(runs)}
     done = [None] * len(runs)
     while pending:
-        points = np.concatenate(list(pending.values()))
-        values = np.concatenate(
-            [fun(points[i : i + _BLOCK_ROWS]) for i in range(0, len(points), _BLOCK_ROWS)]
-        )
+        values = _values(fun, pending.values())
         asked, pending, start = pending, {}, 0
-        for i, rows in asked.items():
+        # popped one by one, so each run's old simplex is freed once it moves on
+        for i in list(asked):
+            rows = asked.pop(i)
             try:
                 pending[i] = runs[i].send(values[start : start + len(rows)])
             except StopIteration as stop:
