@@ -256,7 +256,7 @@ class TestObjectiveMany:
                 )
 
 
-def _run_alone(fun, x0, maxfev, xatol=1e-9, fatol=1e-10):
+def _run_alone(fun, x0, maxfev, xatol, fatol):
     """Drive one _nelder_mead run: its (sim, fsim, nfev) and its cut budgets.
 
     A cut budget runs out exactly where an expansion (xe), a contraction
@@ -314,7 +314,7 @@ class TestLockstepNelderMead:
         starts, budgets = [], []
         covered = set()
         for x0 in (warm, cold):
-            _, cuts = _run_alone(fun, x0, horizon)
+            _, cuts = _run_alone(fun, x0, horizon, **_NELDER_MEAD)
             picks = {1, n, n + 1, n + 2}
             for name, found in cuts.items():
                 if found:
