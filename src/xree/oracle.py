@@ -56,6 +56,11 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     both sorts after it, and the maxfev cut, which still writes the shrink
     row whose evaluation finds the budget spent. The adaptive reflection
     coefficient is 1, so no product below shows it.
+
+    The value spread is tested before the x spread, since it fails on most
+    rounds. On sorted fsim, fsim[-1] - fsim[0] is scipy's max |fsim[0] -
+    fsim[1:]| (rounding is monotone, NaN sorts last), and fsim[1] - fsim[0]
+    is NaN where scipy's form is, at a tied -inf minimum.
     """
     n = len(x0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
@@ -66,12 +71,12 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
     fsim[:maxfev] = yield sim[:maxfev]
     nfev = min(maxfev, n + 1)
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     while nfev < maxfev:
         if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            fsim[-1] - fsim[0] <= fatol >= fsim[1] - fsim[0]
+            and np.max(np.abs(sim[1:] - sim[0])) <= xatol
         ):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -105,8 +110,8 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
                 if m:
                     fsim[1 : m + 1] = yield shrunk[:m]
                     nfev += m
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     return sim, fsim, nfev
 
 
@@ -130,13 +135,14 @@ class SimplexRuns:
 
 def _values(fun, stacks) -> np.ndarray:
     """fun over the rows of all stacks in order, in calls of at most _BLOCK_ROWS rows."""
-    blocks, offset = {}, 0
-    for rows in stacks:
-        for b in range(offset // _BLOCK_ROWS, (offset + len(rows) - 1) // _BLOCK_ROWS + 1):
-            lo = max(0, b * _BLOCK_ROWS - offset)
-            blocks.setdefault(b, []).append(rows[lo : (b + 1) * _BLOCK_ROWS - offset])
-        offset += len(rows)
-    return np.concatenate([fun(np.concatenate(parts)) for parts in blocks.values()])
+    # halved by stack, a lone stack by rows, so no call copies a whole round
+    stacks = list(stacks)
+    if sum(map(len, stacks)) <= _BLOCK_ROWS:
+        return fun(np.concatenate(stacks))
+    if len(stacks) == 1:
+        stacks = [stacks[0][:_BLOCK_ROWS], stacks[0][_BLOCK_ROWS:]]
+    half = len(stacks) // 2
+    return np.concatenate([_values(fun, stacks[:half]), _values(fun, stacks[half:])])
 
 
 def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
@@ -315,8 +321,6 @@ def _pad_mixture(weights, kets_a, kets_b, k_terms: int):
         raise InvalidStateError(
             f"decomposition needs {n} terms but the mixture size is {k_terms}"
         )
-    if n == k_terms:
-        return np.asarray(weights, float), np.asarray(kets_a), np.asarray(kets_b)
     pad = k_terms - n
     w = np.concatenate([np.asarray(weights, float), np.zeros(pad)])
     a = np.concatenate([np.asarray(kets_a), np.tile(_KET0, (pad, 1))])
@@ -387,15 +391,9 @@ def _deterministic_mixtures(rho, closed, tol):
         mixtures.append(separable_x_decomposition(css_params, tol))
     diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
     diag = diag / diag.sum()
-    basis = [(_KET0, _KET0), (_KET0, _KET1), (_KET1, _KET0), (_KET1, _KET1)]
-    keep = [(w, a, b) for w, (a, b) in zip(diag, basis) if w > 0.0]
-    mixtures.append(
-        (
-            np.array([w for w, _, _ in keep]),
-            np.array([a for _, a, _ in keep]),
-            np.array([b for _, _, b in keep]),
-        )
-    )
+    keep = diag > 0.0
+    basis_a, basis_b = np.array([_KET0, _KET0, _KET1, _KET1]), np.array([_KET0, _KET1] * 2)
+    mixtures.append((diag[keep], basis_a[keep], basis_b[keep]))
     try:
         params = from_density_matrix(rho, tol)
     except NotInFamilyError:

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xree import (
+    BRANCH_FAILURE,
+    BRANCH_THEOREM3,
     OracleConfig,
     compute_ree,
     css_to_x_params,
@@ -23,12 +27,14 @@ from xree import (
 )
 from xree.errors import InvalidStateError
 from xree.oracle import (
+    _BLOCK_ROWS,
     _NELDER_MEAD,
     _decode,
     _encode,
     _nelder_mead,
     _objective_many,
     _pad_mixture,
+    _values,
     minimize,
     product_mixture_matrix,
     separable_x_decomposition,
@@ -40,6 +46,9 @@ from xree.states import RAINS_PARAMS
 from conftest import random_entangled_params, random_separable_params
 
 FAST = OracleConfig(num_product_terms=8, restarts=2, max_iterations=400, rng_seed=5)
+FAILURE_PARAMS = from_density_matrix(
+    named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18)
+)
 
 
 class TestProductDecomposition:
@@ -340,10 +349,82 @@ class TestLockstepNelderMead:
         again = minimize(fun, first.x[:1], method="Nelder-Mead", maxfev=left, **tols)
         _assert_rows_match_scipy(fun, again, first.x[:1], left, **tols)
 
+    # Warm-start padding at weight 1e-12 moves the value by less than fatol,
+    # so the value spread holds long before the x spread does. (1e-2, 0.0)
+    # and (0.0, 1e-6) cannot stop by convergence: the values never tie, and
+    # the simplex never collapses to a point.
+    @pytest.mark.parametrize(
+        "xatol, fatol, budget, converges",
+        [
+            (1e-9, 1e-10, 130000, True),
+            (1e-2, 1e-6, 30000, True),
+            (1e-2, 0.0, 5000, False),
+            (0.0, 1e-6, 5000, False),
+        ],
+    )
+    def test_convergence_test_matches_scipy(self, xatol, fatol, budget, converges):
+        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
+        starts = _warm_start(SEPARABLE_DIAGONAL, 16)[None]
+        res = minimize(fun, starts, method="Nelder-Mead", maxfev=budget, xatol=xatol, fatol=fatol)
+        _assert_rows_match_scipy(fun, res, starts, [budget], xatol, fatol)
+        assert res.success == converges
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan]),
+                st.floats(),
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+        st.sampled_from([0.0, 1e-10, math.inf]),
+    )
+    # a[-1] - a[0] alone would read inf here, where scipy's form reads NaN
+    @example([0.0, -math.inf, -math.inf], math.inf)
+    def test_value_spread_test_is_scipys(self, values, fatol):
+        # with xatol = inf the first round stops exactly when the value test holds
+        run = _nelder_mead(np.ones(len(values) - 1), 100, math.inf, fatol)
+        next(run)
+        a = np.sort(np.array(values))  # argsort + take order, NaN last
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = bool(np.max(np.abs(a[0] - a[1:])) <= fatol)
+            try:
+                run.send(np.array(values))
+                stopped = False
+            except StopIteration:
+                stopped = True
+        assert stopped == want
+
     def test_other_methods_rejected(self):
         fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
         with pytest.raises(ValueError):
             minimize(fun, np.zeros((1, 20)), method="Powell", maxfev=10, **_NELDER_MEAD)
+
+
+class TestValues:
+    @pytest.mark.parametrize(
+        "sizes", [[1] * 11, [81] * 11, [80, 1, 1], [32], [33]], ids=["11x1", "11x81", "80-1-1", "32", "33"]
+    )
+    def test_blocks_keep_stack_order(self, sizes):
+        fun, _, _ = _oracle_objective(RAINS_PARAMS)
+        rng = np.random.default_rng(18)
+        stacks = [rng.normal(0.0, 1.0, (m, 20)) for m in sizes]
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return fun(rows)
+
+        got = _values(counted, stacks)
+        assert max(calls) <= _BLOCK_ROWS and sum(calls) == sum(sizes)
+        assert got.tobytes() == fun(np.concatenate(stacks)).tobytes()
+        start = 0
+        for rows in stacks:
+            want = np.array([fun(row[None])[0] for row in rows])
+            assert got[start : start + len(rows)].tobytes() == want.tobytes()
+            start += len(rows)
 
 
 class TestOracleValidate:
@@ -359,10 +440,42 @@ class TestOracleValidate:
         report = oracle_validate(p, closed, OracleConfig(rng_seed=17))
         assert report.abs_difference < 5e-4
 
+    # The default config is what criterion 5 and the CLI run; taken before
+    # the driver's convergence test and sort changed, to hold every bit.
+    @pytest.mark.parametrize(
+        "p, branch, bound, best, digest",
+        [
+            pytest.param(
+                FAILURE_PARAMS,
+                BRANCH_FAILURE,
+                "0x1.3f0a3b294ec98p-3",
+                1,
+                "1a22176ab05df97307ea4990f351779221acfb3fefdd0defedb05aba44aeccc0",
+                id="failure-cold",
+            ),
+            pytest.param(
+                RAINS_PARAMS,
+                BRANCH_THEOREM3,
+                "0x1.0a974117b4724p-3",
+                0,
+                "e9ad4e0baa7898fb14b2f511f245182438b08b715e2df2735c8842d4c3f001b8",
+                id="rains-warm",
+            ),
+        ],
+    )
+    def test_default_config_bits_are_pinned(self, p, branch, bound, best, digest):
+        closed = compute_ree(p)
+        assert closed.branch == branch
+        result = oracle_validate(p, closed, OracleConfig()).oracle
+        assert result.ree_upper_bound.hex() == bound
+        assert (result.iterations_used, result.restart_best_index) == (2000, best)
+        assert result.converged is False
+        mixture = hashlib.sha256(result.weights.tobytes())
+        mixture.update(result.qubit_a.tobytes() + result.qubit_b.tobytes())
+        assert mixture.hexdigest() == digest
+
     def test_failure_case_fingerprint(self):
-        p = from_density_matrix(
-            named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18)
-        )
+        p = FAILURE_PARAMS
         closed = compute_ree(p)
         assert closed.ree is None
         report = oracle_validate(p, closed, OracleConfig(rng_seed=11))
