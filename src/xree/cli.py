@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import sys
 import time
 from importlib import resources
@@ -55,10 +56,88 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _validate_document(doc, schema_name: str) -> None:
-    import jsonschema  # only documents read from outside need it
+def _unchecked(what: str):
+    raise LookupError(f"{what} is not checked here")
 
-    validator = jsonschema.Draft7Validator(_schema(schema_name))
+
+def _same(value, x) -> bool:  # jsonschema compares a string to anything with ==
+    return x == value if isinstance(value, str) else _unchecked(f"value {value!r}")
+
+
+def _number(x) -> bool:  # a bool is not a number to jsonschema
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _number,
+    "integer": lambda x: _number(x)
+    and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+# keyword -> test(value, instance, schema, root); "then" is read by "if"
+_KEYWORDS = {
+    "type": lambda v, x, s, r: _TYPES[v](x),
+    "enum": lambda v, x, s, r: any(_same(e, x) for e in v),
+    "const": lambda v, x, s, r: _same(v, x),
+    "required": lambda v, x, s, r: not isinstance(x, dict) or all(k in x for k in v),
+    "properties": lambda v, x, s, r: not isinstance(x, dict)
+    or all(_conforms(x[k], sub, r) for k, sub in v.items() if k in x),
+    "additionalProperties": lambda v, x, s, r: (
+        not isinstance(x, dict) or all(k in s.get("properties", {}) for k in x)
+    ) if v is False and "patternProperties" not in s else _unchecked("additionalProperties"),
+    "minProperties": lambda v, x, s, r: not isinstance(x, dict) or not len(x) < v,
+    "maxProperties": lambda v, x, s, r: not isinstance(x, dict) or not len(x) > v,
+    "items": lambda v, x, s, r: not isinstance(x, list) or all(_conforms(i, v, r) for i in x),
+    "minItems": lambda v, x, s, r: not isinstance(x, list) or not len(x) < v,
+    "maxItems": lambda v, x, s, r: not isinstance(x, list) or not len(x) > v,
+    "minimum": lambda v, x, s, r: not _number(x) or not x < v,
+    "maximum": lambda v, x, s, r: not _number(x) or not x > v,
+    "allOf": lambda v, x, s, r: all(_conforms(x, sub, r) for sub in v),
+    "oneOf": lambda v, x, s, r: sum(_conforms(x, sub, r) for sub in v) == 1,
+    "if": lambda v, x, s, r: not _conforms(x, v, r) or _conforms(x, s["then"], r),
+    "then": lambda v, x, s, r: True,
+}
+_ANNOTATIONS = ("$schema", "title", "description", "definitions")
+
+
+def _conforms(x, schema, root: dict) -> bool:
+    """Draft-7 validity of `x` under the keywords the shipped input schemas use.
+
+    Exact where it answers, so `oneOf` and `if` can trust a False. A keyword
+    or form it does not check raises LookupError, and jsonschema decides.
+    """
+    if not isinstance(schema, dict):
+        _unchecked(f"schema {schema!r}")
+    ref = schema.get("$ref")
+    if ref is not None:  # Draft 7 ignores the siblings of $ref
+        if not (isinstance(ref, str) and ref.startswith("#/")):
+            _unchecked(f"$ref {ref!r}")
+        target = root
+        for part in ref[2:].split("/"):
+            target = target[part]
+        return _conforms(x, target, root)
+    return all(
+        k in _ANNOTATIONS or _KEYWORDS[k](v, x, schema, root) for k, v in schema.items()
+    )
+
+
+def _accepts(doc, schema: dict) -> bool:
+    """True only for a document jsonschema accepts; False also when unsure."""
+    try:
+        return _conforms(doc, schema, schema)
+    except (LookupError, TypeError):
+        return False
+
+
+def _validate_document(doc, schema_name: str) -> None:
+    schema = _schema(schema_name)
+    if _accepts(doc, schema):
+        return
+    import jsonschema  # valid documents never get here; it words the error
+
+    validator = jsonschema.Draft7Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

@@ -1,13 +1,18 @@
 """CLI contract: exit codes, schemas, determinism, scan behavior."""
 
+import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xree.cli import EXIT_ANSATZ_FAILURE, EXIT_INVALID, EXIT_OK, main, _schema
+import xree.cli as cli
+from xree.cli import EXIT_ANSATZ_FAILURE, EXIT_INVALID, EXIT_OK, main, _accepts, _schema
 
 
 def run_cli(capsys, *argv):
@@ -459,3 +464,220 @@ class TestInputPaths:
         assert [row.split(",")[:5] for row in rows[1:]] == [
             ["0.1", "0.4", "0.3", "0.2", d] for d in ("0", "0.1", "0.2", "0.3")
         ]
+
+
+GRID, STATE = "scan_grid.schema.json", "state_input.schema.json"
+SCHEMAS = {name: _schema(name) for name in (GRID, STATE)}
+GRIDS = Path(__file__).resolve().parent.parent / "grids"
+LINE = json.loads((GRIDS / "baseline_line.json").read_text())
+SIMPLEX = json.loads((GRIDS / "failure_region.json").read_text())
+RANGE_AXIS = {"start": 0.0, "stop": 0.3, "count": 4}
+RAW = {"mode": "raw", "axes": {"a1": 0.1, "a2": [0.4, 0.5], "a3": 0.3, "a4": 0.2, "d": RANGE_AXIS}}
+EXAMPLE = {
+    "mode": "theorem3_example",
+    "axes": {"p": 0.66, "q1": 0.1, "q2": [0.1], "q3": RANGE_AXIS, "q4": 0},
+}
+PARAMS = {"params": {"A1": 0.06, "A2": 0.49, "A3": 0.36, "A4": 0.09, "D": 0.33, "phi": 0.5}}
+# one document of each grid mode and of each state kind, all valid
+SEED_DOCUMENTS = [
+    (GRID, LINE),
+    (GRID, SIMPLEX),
+    (GRID, RAW),
+    (GRID, EXAMPLE),
+    (STATE, {"matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]}),
+    (STATE, PARAMS),
+    (STATE, {"bloch": {"r": 0.0, "s": 0.0, "gx": 1.0, "gz": -1.0}}),
+    (STATE, {"family": {"name": "rains", "weights": []}}),
+]
+
+
+def containers(node, found):
+    """Every list and dict in `node`, `node` itself first."""
+    found.append(node)
+    for child in node.values() if isinstance(node, dict) else node:
+        if isinstance(child, (dict, list)):
+            containers(child, found)
+    return found
+
+
+KEYS = sorted(
+    {"x"}
+    | {key for _, doc in SEED_DOCUMENTS for n in containers(doc, []) if isinstance(n, dict) for key in n}
+)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(),
+    st.sampled_from([2.0, 0.5, "line", "raw", "simplex", "theorem3_example", "rains", ""]),
+)
+NUMBERS = st.floats(0, 1) | st.integers(1, 5) | st.sampled_from([0, 2.0, -0.5, 1.5, math.inf, math.nan])
+LIKE = {
+    int: NUMBERS,
+    float: NUMBERS,
+    str: st.sampled_from(["line", "raw", "simplex", "theorem3_example", "rains", "vp", "x"]),
+    list: st.lists(NUMBERS, max_size=6),
+}
+# deeper values grow by insertion into an inserted container
+VALUES = LEAVES | st.lists(LEAVES, max_size=5) | st.dictionaries(st.sampled_from(KEYS), LEAVES)
+
+
+def mutate(data, doc):
+    """Replace, retype, delete or insert one value somewhere in `doc`."""
+    parent = data.draw(st.sampled_from(containers(doc, [])))
+    keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+    op = data.draw(st.sampled_from(["like", "like", "replace", "delete", "insert"]))
+    if op == "insert" or not keys:
+        if isinstance(parent, dict):
+            parent[data.draw(st.sampled_from(KEYS))] = data.draw(VALUES)
+        else:
+            parent.append(data.draw(VALUES))
+        return
+    key = data.draw(st.sampled_from(keys))
+    if op == "delete":
+        del parent[key]
+    elif op == "like":  # a value of the same kind, so the document often stays valid
+        parent[key] = data.draw(LIKE.get(type(parent[key]), VALUES))
+    else:
+        parent[key] = data.draw(VALUES)
+
+
+SUBSCHEMAS = {
+    "properties": dict.values,
+    "definitions": dict.values,
+    "allOf": list,
+    "oneOf": list,
+    "items": lambda value: [value],
+    "if": lambda value: [value],
+    "then": lambda value: [value],
+}
+
+
+def schema_keywords(schema):
+    """(keyword, value) for every keyword of `schema` and of its subschemas."""
+    for key, value in schema.items():
+        yield key, value
+        for sub in SUBSCHEMAS.get(key, lambda value: [])(value):
+            if isinstance(sub, dict):
+                yield from schema_keywords(sub)
+
+
+def with_edit(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestSchemaFastCheck:
+    """`_accepts` answers for jsonschema on every valid document, and never wrongly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_jsonschema_on_mutated_documents(self, data):
+        _, seed = data.draw(st.sampled_from(SEED_DOCUMENTS))
+        doc = copy.deepcopy(seed)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data, doc)
+        for name, schema in SCHEMAS.items():
+            valid = jsonschema.Draft7Validator(schema).is_valid(doc)
+            fast = _accepts(doc, schema)
+            assert valid or not fast, f"accepted a document jsonschema rejects under {name}"
+            assert fast or not valid, f"sent a valid document to jsonschema under {name}"
+
+    @pytest.mark.parametrize(
+        "name, doc, valid",
+        [
+            pytest.param(GRID, with_edit(SIMPLEX, ["p"], True), False, id="bool-number"),
+            pytest.param(GRID, with_edit(SIMPLEX, ["split"], False), False, id="false-number"),
+            pytest.param(GRID, with_edit(SIMPLEX, ["steps"], True), False, id="bool-integer"),
+            pytest.param(GRID, with_edit(SIMPLEX, ["steps"], 2.0), True, id="steps-2.0"),
+            pytest.param(GRID, with_edit(LINE, ["count"], 2.0), True, id="count-2.0"),
+            pytest.param(GRID, with_edit(LINE, ["count"], 2.5), False, id="count-2.5"),
+            pytest.param(GRID, with_edit(LINE, ["count"], math.inf), False, id="count-inf"),
+            pytest.param(GRID, with_edit(SIMPLEX, ["p"], math.nan), True, id="nan-in-range"),
+            pytest.param(GRID, with_edit(LINE, ["from", 0], True), False, id="bool-item"),
+            pytest.param(GRID, with_edit(LINE, ["mode"], 1), False, id="enum-1"),
+            pytest.param(GRID, with_edit(LINE, ["family"], True), False, id="const-true"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "a1"], None), False, id="null-axis"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "a1"], []), False, id="empty-axis"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "a1"], True), False, id="bool-axis"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "a1"], 1), True, id="int-axis"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "d", "count"], 1.0), True, id="axis-count"),
+            pytest.param(GRID, with_edit(LINE, ["x"], 1), False, id="extra-key"),
+            pytest.param(GRID, with_edit(EXAMPLE, ["axes", "a1"], 1), False, id="extra-axis"),
+            pytest.param(GRID, with_edit(RAW, ["axes", "d", "x"], 1), False, id="extra-range-key"),
+            pytest.param(STATE, with_edit(PARAMS, ["params", "A1"], True), False, id="bool-param"),
+            pytest.param(STATE, with_edit(PARAMS, ["params", "A1"], 0), True, id="int-param"),
+            pytest.param(STATE, with_edit(PARAMS, ["params", "x"], 0), False, id="extra-param"),
+            pytest.param(STATE, {"family": {"name": 1}}, False, id="name-1"),
+            pytest.param(STATE, {"family": {"name": True}}, False, id="name-true"),
+            pytest.param(STATE, {}, False, id="min-properties"),
+            pytest.param(STATE, [PARAMS], False, id="array-root"),
+            pytest.param(GRID, None, False, id="null-root"),
+            pytest.param(STATE, {**PARAMS, "family": {"name": "vp"}}, False, id="max-properties"),
+        ],
+    )
+    def test_type_edges_match_jsonschema(self, name, doc, valid):
+        schema = _schema(name)
+        assert jsonschema.Draft7Validator(schema).is_valid(doc) is valid
+        assert _accepts(doc, schema) is valid
+
+    @pytest.mark.parametrize(
+        "schema, doc, valid",
+        [
+            pytest.param({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1, False, id="one-of-two"),
+            pytest.param({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 0.5, True, id="one-of-one"),
+            pytest.param({"if": {"const": "a"}, "then": {"type": "number"}}, "b", True, id="if-false"),
+            pytest.param({"if": {"const": "a"}, "then": {"type": "number"}}, "a", False, id="if-then"),
+            pytest.param({"then": {"type": "number"}}, "a", True, id="then-alone"),
+            pytest.param(
+                {"$ref": "#/definitions/n", "type": "string", "definitions": {"n": {"type": "number"}}},
+                1,
+                True,
+                id="ref-ignores-siblings",
+            ),
+        ],
+    )
+    def test_keyword_semantics_match_jsonschema(self, schema, doc, valid):
+        assert jsonschema.Draft7Validator(schema).is_valid(doc) is valid
+        assert _accepts(doc, schema) is valid
+
+    @pytest.mark.parametrize("name", [GRID, STATE])
+    def test_shipped_schemas_use_only_checked_keywords(self, name):
+        used = list(schema_keywords(_schema(name)))
+        checked = {"$ref", *cli._KEYWORDS, *cli._ANNOTATIONS}
+        assert {key for key, _ in used} - checked == set()
+        # _same checks string values only
+        values = [v for key, v in used if key == "const"]
+        values += [v for key, vs in used if key == "enum" for v in vs]
+        assert values and all(isinstance(v, str) for v in values)
+        assert all(_accepts(doc, SCHEMAS[name]) for kind, doc in SEED_DOCUMENTS if kind == name)
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("pattern", "^r"),
+            ("anyOf", [{"type": "string"}]),
+            ("not", {"type": "null"}),
+            ("else", {}),
+            ("format", "date"),
+            ("additionalProperties", True),
+            ("type", ["string", "null"]),
+        ],
+    )
+    def test_unchecked_keyword_leaves_the_verdict_to_jsonschema(self, keyword, value):
+        schema = _schema(STATE)
+        schema["properties"]["family"]["properties"]["name"][keyword] = value
+        doc = {"family": {"name": "rains"}}
+        assert jsonschema.Draft7Validator(schema).is_valid(doc)
+        assert not _accepts(doc, schema)
+
+    def test_unchecked_keyword_inside_if_leaves_the_verdict_to_jsonschema(self):
+        schema = _schema(GRID)
+        schema["allOf"][0]["if"]["properties"]["mode"]["pattern"] = "^t"
+        assert jsonschema.Draft7Validator(schema).is_valid(EXAMPLE)
+        assert not _accepts(EXAMPLE, schema)
+        assert _accepts(LINE, schema)  # the failed const decides alone

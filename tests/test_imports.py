@@ -75,6 +75,21 @@ print(json.dumps({{"state": state, "grid": grid, "loaded": loaded()}}))
         assert err.startswith("error: field")
 
 
+def test_valid_documents_load_without_jsonschema(tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"params": {"A1": 0.1, "A2": 0.4, "A3": 0.3, "A4": 0.2, "D": 0.3}}))
+    grid = os.path.join(os.path.dirname(SRC), "grids", "baseline_line.json")
+    got = run_fresh(
+        PRELUDE
+        + f"""
+state = call("compute", "--input", {str(state)!r})
+grid = call("scan", "--grid", {grid!r})
+print(json.dumps({{"codes": [state[0], grid[0]], "loaded": loaded()}}))
+"""
+    )
+    assert got == {"codes": [0, 0], "loaded": []}
+
+
 def test_oracle_minimizer_is_a_wrappable_module_attribute(monkeypatch):
     assert callable(xree.oracle.minimize)
     assert xree.oracle.minimize.__module__ == "xree.oracle"
