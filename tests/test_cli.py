@@ -681,3 +681,11 @@ class TestSchemaFastCheck:
         assert jsonschema.Draft7Validator(schema).is_valid(EXAMPLE)
         assert not _accepts(EXAMPLE, schema)
         assert _accepts(LINE, schema)  # the failed const decides alone
+
+    def test_jsonschema_decides_where_the_check_is_unsure(self, monkeypatch):
+        schema = _schema(STATE)
+        schema["properties"]["family"]["properties"]["name"]["pattern"] = "^r"
+        monkeypatch.setattr(cli, "_schema", lambda name: schema)
+        cli._validate_document({"family": {"name": "rains"}}, STATE)
+        with pytest.raises(cli.InvalidStateError, match="^field family/name: 'vp' does not match"):
+            cli._validate_document({"family": {"name": "vp"}}, STATE)
