@@ -451,7 +451,7 @@ def _axis_count(spec) -> int:
         return 1
     if isinstance(spec, list):
         return len(spec)
-    return spec["count"]
+    return int(spec["count"])
 
 
 def _axis_values(spec) -> list[float]:
@@ -459,10 +459,11 @@ def _axis_values(spec) -> list[float]:
         return [float(spec)]
     if isinstance(spec, list):
         return [float(v) for v in spec]
-    if spec["count"] == 1:
+    count = int(spec["count"])
+    if count == 1:
         return [float(spec["start"])]
-    step = (spec["stop"] - spec["start"]) / (spec["count"] - 1)
-    return [spec["start"] + i * step for i in range(spec["count"])]
+    step = (spec["stop"] - spec["start"]) / (count - 1)
+    return [spec["start"] + i * step for i in range(count)]
 
 
 _SCAN_COLUMNS = {
@@ -498,10 +499,12 @@ def _grid_points(doc: dict, cap: int) -> tuple[str, list[tuple[float, ...]]]:
     """
     _validate_document(doc, "scan_grid.schema.json")
     mode = doc["mode"]
+    # the schema counts an integral float such as 3.0 as an integer
     if mode == "line":
-        count = doc["count"]
+        count = int(doc["count"])
     elif mode == "simplex":
-        count = (doc["steps"] + 1) * (doc["steps"] + 2) // 2
+        steps = int(doc["steps"])
+        count = (steps + 1) * (steps + 2) // 2
     else:
         count = math.prod(_axis_count(doc["axes"][n]) for n in _SCAN_COLUMNS[mode])
     if count > cap:
@@ -515,7 +518,7 @@ def _grid_points(doc: dict, cap: int) -> tuple[str, list[tuple[float, ...]]]:
             for i in range(count)
         ]
     elif mode == "simplex":
-        pts = _simplex_points(doc["p"], doc["split"], doc["steps"])
+        pts = _simplex_points(doc["p"], doc["split"], steps)
     else:
         axes = [_axis_values(doc["axes"][n]) for n in _SCAN_COLUMNS[mode]]
         return mode, [tuple(p) for p in itertools.product(*axes)]

@@ -49,7 +49,7 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from . import qmath
-from .qmath import EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy, partial_transpose
+from .qmath import EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy
 from .states import (
     XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
     is_entangled, to_density_matrix, x_state,
@@ -749,8 +749,9 @@ def _validated(
     Each matrix is built once, by states._family_matrices: rho from the
     state, checked on entry to compute_ree_many, and pi from its CSS,
     checked by css_to_x_params. A branch solution stacks PT(pi), rho and
-    pi; a separable result stacks its state's partial transpose. All the
-    partial transposes come from one partial_transpose call. The edge
+    pi; a separable result stacks its state's partial transpose. One
+    _family_matrices call builds the whole stack in its final order, the
+    partial transposes directly, with no partial_transpose call. The edge
     eigenvalue and the spectral relative entropy are read off the stack as
     min_eig_pt and relative_entropy compute them, and the edge eigenvalue
     of an accepted result is kept as its edge_min_eig.
@@ -785,17 +786,17 @@ def _validated(
     k = len(pis)
     n = k + len(separable)
     if n:
-        mats = _family_matrices(pis + separable + rhos)
-        stack = np.concatenate((partial_transpose(mats[:n]), mats[n:], mats[:k]))
+        stack = _family_matrices(pis + separable + rhos + pis, transposed=n)
         # looked up on the module, so a wrapper set on qmath sees the call
         eig = qmath.hermitian_eig(stack, tol)
+        edges = eig.values[:n, 0].tolist()
     out = []
     for result, problems, slot in checks:
         edge = None
         if result.branch == BRANCH_SEPARABLE:
-            edge = float(eig.values[k + slot, 0])
+            edge = edges[k + slot]
         elif slot is not None:
-            edge = float(eig.values[slot, 0])
+            edge = edges[slot]
             if abs(edge) > tol.edge_validation:
                 problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
             rho, pi = n + slot, n + k + slot

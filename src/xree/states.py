@@ -19,16 +19,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, NotInFamilyError, SingularPhaseError
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, partial_transpose
 
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 _HALF = complex(0.5, 0.0)
+# partial_transpose only moves entries: the flat order it takes them in
+_PT_ORDER = operator.itemgetter(
+    *map(int, partial_transpose(np.arange(16.0).reshape(4, 4)).real.flat)
+)
 _COHERENCE_SLACK = 1e-12
 _FAMILY_SPARSITY = 1e-10
 _COS_PHI_MIN = 1e-9
@@ -175,7 +180,7 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
     return x_state(*pops, d=max(0.0, d), phi=b.phi, tol=tol)
 
 
-def _family_matrices(ps) -> np.ndarray:
+def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
     """The (n, 4, 4) matrices of family members, with no validity check.
 
     Callers pass states that have passed _check_state. The entries are
@@ -185,17 +190,22 @@ def _family_matrices(ps) -> np.ndarray:
     maps each coherence z to _HALF * (z + z): numpy multiplies by 0.5 as
     by the complex 0.5 + 0j, and the zero products of that can flip the
     sign of a zero part.
+
+    The first `transposed` matrices come out partially transposed, bit for
+    bit as partial_transpose makes them: it only moves entries, so their
+    entries are taken in the order _PT_ORDER.
     """
     entries = []
-    for p in ps:
+    for i, p in enumerate(ps):
         coh = p.d * cmath.exp(1j * p.phi)
         low = coh.conjugate()
-        entries += (
+        row = (
             p.a1, 0j, 0j, 0j,
             0j, p.a2, _HALF * (coh + coh), 0j,
             0j, _HALF * (low + low), p.a3, 0j,
             0j, 0j, 0j, p.a4,
         )
+        entries += _PT_ORDER(row) if i < transposed else row
     return np.array(entries, dtype=complex).reshape(-1, 4, 4)
 
 

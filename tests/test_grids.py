@@ -132,3 +132,34 @@ def test_schema_error_names_the_bad_field(tmp_path, capsys, doc, field):
     assert code == EXIT_INVALID
     assert out == ""
     assert err.startswith(f"error: field {field}: ") and err.count("\n") == 1
+
+
+def with_float_count(doc, *keys):
+    """doc with the integer at doc[keys[0]][keys[1]]... as the equal float."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = float(inner[keys[-1]])
+    return doc
+
+
+BASELINE_LINE = json.loads((GRIDS / "baseline_line.json").read_text(encoding="utf-8"))
+RAW_AXES = {"a1": 0.1, "a2": 0.4, "a3": 0.3, "a4": 0.2, "d": {"start": 0.0, "stop": 0.3, "count": 3}}
+
+
+@pytest.mark.parametrize(
+    "doc, keys",
+    [
+        pytest.param({**BASELINE_LINE, "count": 3}, ("count",), id="line-count"),
+        pytest.param({"mode": "simplex", "p": 0.66, "split": 0.4, "steps": 2}, ("steps",), id="simplex-steps"),
+        pytest.param({"mode": "raw", "axes": RAW_AXES}, ("axes", "d", "count"), id="range-axis-count"),
+    ],
+)
+def test_integral_float_counts_scan_as_their_integer(tmp_path, capsys, doc, keys):
+    # Draft 7 counts 3.0 as an integer, so the schema passes both forms
+    code, want, err = scan(capsys, "--grid", write_grid(tmp_path, doc))
+    assert code == EXIT_OK and err == ""
+    code, got, err = scan(capsys, "--grid", write_grid(tmp_path, with_float_count(doc, *keys)))
+    assert code == EXIT_OK and err == ""
+    assert got == want and want.count("\n") > 2

@@ -26,6 +26,7 @@ from xree.ree import (
     BRANCH_THEOREM2,
     BRANCH_THEOREM3,
     css_to_density_matrix,
+    css_to_x_params,
 )
 from xree.states import RAINS_PARAMS, XStateParams, from_density_matrix
 
@@ -112,6 +113,31 @@ class TestMatrixIsUnchanged:
         want = DensityMatrix.from_matrix(raw_matrix(p)).matrix
         assert to_density_matrix(p).matrix.tobytes() == want.tobytes()
 
+    def test_transposed_rows_are_partial_transpose(self):
+        # the rows _family_matrices builds transposed are bit for bit
+        # partial_transpose of its plain rows, signed zeros included
+        rng = np.random.default_rng(7)
+        phis = [0.0, -0.0, math.pi, -math.pi / 2] + [float(v) for v in rng.uniform(-3, 3, 4)]
+        ps = [x_state(0.1, 0.4, 0.3, 0.2, 0.25, phi) for phi in phis]
+        ps += [x_state(0.1, 0.4, 0.3, 0.2, 0.0, 0.7), x_state(0.0, 0.6, 0.4, 0.0, 0.3, -0.0)]
+        css_of = [
+            from_density_matrix(named_state("vp", 0.5, 0.3, 0.2)),
+            from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15)),
+            RAINS_PARAMS,
+            x_state(0.4, 0.3, 0.2, 0.1, 0.05, 0.3),
+            x_state(0.0, 0.6, 0.4, 0.0, 0.3, 1.1),
+        ]
+        results = [compute_ree(p) for p in css_of]
+        assert {r.branch for r in results} == {
+            BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3, BRANCH_SEPARABLE
+        }
+        ps += [css_to_x_params(r.css) for r in results]
+        plain = states_module._family_matrices(ps)
+        transposed = partial_transpose(plain)
+        for k in (0, 1, len(ps) // 2, len(ps)):
+            got = states_module._family_matrices(ps, transposed=k)
+            assert got.tobytes() == np.concatenate((transposed[:k], plain[k:])).tobytes()
+
 
 # state, branch, and the _check_state and to_density_matrix calls of one
 # validated compute_ree: the check on entry and the CSS's check in
@@ -184,6 +210,43 @@ class TestEigendecompositionCount:
         result = compute_ree(p)
         assert result.branch == branch
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "params, branch",
+        [
+            pytest.param(
+                lambda: from_density_matrix(named_state("vp", 0.5, 0.3, 0.2)),
+                BRANCH_THEOREM1,
+                id="theorem1",
+            ),
+            pytest.param(
+                lambda: from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15)),
+                BRANCH_THEOREM2,
+                id="theorem2",
+            ),
+            pytest.param(
+                lambda: x_state(0.4, 0.3, 0.2, 0.1, 0.05, 0.3), BRANCH_SEPARABLE, id="separable"
+            ),
+        ],
+    )
+    def test_stack_built_without_partial_transpose(self, monkeypatch, params, branch):
+        # the validation builds its partial transposes directly; the one
+        # stacked hermitian_eig call still checks every entry
+        p = params()
+        calls = {"hermitian_eig": 0, "partial_transpose": 0}
+        for module in (qmath, states_module, ree_module):
+            for name in calls:
+                if hasattr(module, name):
+                    forward = getattr(module, name)
+
+                    def counting(*args, _name=name, _forward=forward, **kwargs):
+                        calls[_name] += 1
+                        return _forward(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counting)
+        result = compute_ree(p)
+        assert result.branch == branch
+        assert calls == {"hermitian_eig": 1, "partial_transpose": 0}
 
     def test_one_eigh_in_cli_compute(self, monkeypatch, capsys):
         # edge_min_eig in the compute document is the validation's value
