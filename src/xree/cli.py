@@ -202,10 +202,20 @@ def _parse_family_flag(text: str) -> XStateParams:
 
 
 def _read_json(path: str, what: str):
-    """Load the JSON document at `path`; undecodable text is invalid input."""
+    """Load the JSON document at `path`; undecodable text is invalid input.
+
+    So is a non-finite number: json reads NaN, +-Infinity and overflowing
+    literals such as 1e999, and the schema's range tests pass NaN.
+    """
+
+    def finite(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise InvalidStateError(f"{what} document holds the non-finite number {text}")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidStateError(f"{what} document is not valid JSON: {exc}") from exc
 

@@ -143,7 +143,7 @@ def _relative_entropy_eig(
                 return math.inf
         else:
             cross += weight * math.log(lam)
-    return tr_rho_ln_rho - cross
+    return float(tr_rho_ln_rho - cross)
 
 
 def partial_transpose(m) -> np.ndarray:

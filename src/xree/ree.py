@@ -29,13 +29,12 @@ call. The list runs CHUNK states at a time. Validity checks, dispatch and
 the theorem1/2 solvers run state by state. The Theorem 3 root grids of a
 chunk run a few states per array pass: a (B, G) mask of the points
 feasible in r1 alone, then one reduction call on those points only. The
-chunk's brackets are bisected together, in one reduction call per tree
-round, and its roots pass the root filters in one array pass; only the
-scoring of each state's surviving roots runs state by state. The chunk's
-validation builds each matrix it needs once, takes every partial
-transpose in one call and decomposes the matrices in one stacked
-eigendecomposition. Each result is bit for bit what the state gives
-alone.
+chunk's brackets are bisected together, one reduction call per level,
+and its roots pass the root filters in one array pass; only the scoring
+of each state's surviving roots runs state by state. The chunk's
+validation builds every matrix it needs, partial transposes included, in
+one stack and decomposes it in one eigendecomposition. Each result is
+bit for bit what the state gives alone.
 """
 
 from __future__ import annotations
@@ -355,10 +354,10 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 class _T3Constants(NamedTuple):
     """A state's numbers in the reduction.
 
-    Python floats for one state, or (K, 1) columns with one bracket's state
-    per row. Either way they are formed on Python floats: x ** 2 there
-    calls the C library's pow, which on some doubles differs in the last
-    bit from numpy's x * x.
+    Python floats for one state, or (K,) columns with the state of one
+    grid point or bracket per entry. Either way they are formed on Python
+    floats: x ** 2 there calls the C library's pow, which on some doubles
+    differs in the last bit from numpy's x * x.
     """
 
     a1: float
@@ -403,13 +402,11 @@ def _t3_candidates(
 ) -> tuple[np.ndarray, ...]:
     """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
 
-    r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast
-    against each other, and p may be _T3Constants arrays with one state per
-    entry of r1. The root grid passes its K feasible points as r1 (K,) with
-    sign (2, 1), for (2, K) arrays with one row per branch; r1 and sign of
-    shape (K,) give one entry per root; r1 of shape (K, n) with sign of
-    shape (K, 1) gives one row of bisection-tree nodes per bracket. r4 and
-    y take the shape of r1.
+    r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast,
+    and p may be _T3Constants columns with one state per entry of r1. The
+    root grid passes its K feasible points as r1 (K,) with sign (2, 1), for
+    one row per branch; the bisection and the root filters pass r1 and
+    sign (K,), one entry per bracket. r4 and y take the shape of r1.
     """
     c = p if isinstance(p, _T3Constants) else _t3_constants(p)
     r4, y, gamma, feasible = _t3_feasible(r1, c)
@@ -427,8 +424,8 @@ def _t3_equation(
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1, sign and p broadcast as in _t3_candidates: (K,) with (2, 1), (K,)
-    with (K,), or (K, n) with (K, 1); f has their common shape.
+    r1, sign and p broadcast as in _t3_candidates: (K,) with (2, 1) or (K,)
+    with (K,); f has their common shape.
     """
     return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
 
@@ -449,17 +446,6 @@ def _t3_reduction(
         return ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
 
 
-# bisection levels of each bracket valued by one _t3_equation call
-_TREE_DEPTH = 8
-_TREE_WIDTH = 1 << _TREE_DEPTH
-# node m = 0 .. width of a bisection tree is its m-th point from the left;
-# the inner node m is the midpoint of [m - h, m + h], h the lowest set bit of m
-_TREE_LO = np.array([m - (m & -m) for m in range(1, _TREE_WIDTH)])
-_TREE_HI = np.array([m + (m & -m) for m in range(1, _TREE_WIDTH)])
-# the move of a walk by the step code of its node: stop, left, onto nan, right
-_CHILD = np.array([0, -1, 0, 1])
-
-
 def _splits(a, b, tol: Tolerances):
     """Whether halving still narrows [a, b]; false for a nan end.
 
@@ -476,62 +462,28 @@ def _bisect_t3(
 ) -> np.ndarray:
     """Halve every sign-change bracket [a, b] of the reduction together.
 
-    Each bisection step keeps the left half when fa * f(mid) <= 0 and the
-    right half otherwise. A bracket stops once _splits is false, and its
-    root is its midpoint. A nan value at a visited midpoint stops the
-    bracket and makes its root nan. p is one state for every bracket, or
-    _T3Constants columns with one state per bracket.
-
-    The steps are taken _TREE_DEPTH at a time. Each active bracket grows
-    its bisection tree: the edges [a, b], then level by level the point
-    0.5 * (left + right) between each pair of neighbouring nodes. These are
-    the doubles one-at-a-time bisection computes. One _t3_equation call
-    values every node of every tree, with sign (K,) taken per bracket.
-    A walk that reaches an inner node has valued f at the node's left end
-    (fa at the tree's left edge), so each node's step is known before the
-    walk: array operations over all trees give every node a step code by
-    the rules above. Each walk then starts at the tree's middle node and
-    moves down one level at a time, by the code of the node it is on, to
-    the node where it stops or to a bottom node; that node's code gives
-    the bracket the walk ends in.
+    Each step keeps the left half when fa * f(mid) <= 0 and the right half
+    otherwise. A bracket stops once _splits is false, and its root is its
+    midpoint. A nan value at a midpoint stops the bracket and makes its
+    root nan. p is one state for every bracket, or _T3Constants columns
+    with one state per bracket. One _t3_equation call per level values the
+    midpoints of all active brackets, each with its own sign.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
     columns = np.array(p) if isinstance(p, _T3Constants) else None
-    steps = [_TREE_WIDTH >> level for level in range(1, _TREE_DEPTH + 1)]
     active = np.arange(len(a))
     while (active := active[_splits(a[active], b[active], tol)]).size:
-        rows = np.arange(active.size)
-        nodes = np.empty((active.size, _TREE_WIDTH + 1))
-        nodes[:, 0] = a[active]
-        nodes[:, _TREE_WIDTH] = b[active]
-        for step in steps:
-            twice = 2 * step
-            nodes[:, step::twice] = 0.5 * (nodes[:, :-step:twice] + nodes[:, twice::twice])
+        lo, hi, f_lo = a[active], b[active], fa[active]
+        mid = 0.5 * (lo + hi)
         q = p if columns is None else _T3Constants(*columns[:, active])
-        f = _t3_equation(nodes, sign[active, None], q)
-        x_lo, x_hi = nodes[:, _TREE_LO], nodes[:, _TREE_HI]
-        f_lo, f_mid = f[:, _TREE_LO], f[:, 1:-1]
-        f_lo[:, _TREE_LO == 0] = fa[active, None]
+        f = _t3_equation(mid, sign[active], q)
         # Python floats multiply 0 * inf and overflow without a warning
         with np.errstate(invalid="ignore", over="ignore"):
-            right = ~(f_lo * f_mid <= 0.0)
-        # a walk on node m stops there (0), steps to its left (1) or right (3)
-        # child, or moves onto a nan value at m and stops (2); _splits halves
-        # [x_lo, x_hi] at exactly the node's own value
-        code = _splits(x_lo, x_hi, tol) * (2 * right + ~np.isnan(f_mid))
-        m = np.full(active.size, steps[0])
-        for step in steps[1:]:
-            m += _CHILD[code[rows, m - 1]] * step
-        # the walk ends in [m - h, m + h] for code 0, else in the half of it
-        # the code names: left for 1, right for 2 and 3
-        c = code[rows, m - 1]
-        h = m & -m
-        lo = np.where(c >= 2, m, m - h)
-        hi = np.where(c == 1, m, m + h)
-        lost = (lo > 0) & np.isnan(f[rows, lo])
-        a[active] = np.where(lost, np.nan, nodes[rows, lo])
-        b[active] = nodes[rows, hi]
-        fa[active] = np.where(lo > 0, f[rows, lo], fa[active])
+            left = f_lo * f <= 0.0
+        # a nan at mid fails the test above; a nan end then stops the bracket
+        a[active] = np.where(left, lo, np.where(np.isnan(f), np.nan, mid))
+        b[active] = np.where(left, mid, hi)
+        fa[active] = np.where(left, f_lo, f)
     return 0.5 * (a + b)
 
 
@@ -639,8 +591,8 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     spans = [_t3_span(p) for p in ps]
     columns = np.array([_t3_constants(p) for p in ps], dtype=float).reshape(len(ps), -1).T
     a, b, fa, sign, owner = _t3_grid(spans, columns, tol)
-    roots = _bisect_t3(a, b, fa, sign, _T3Constants(*columns[:, owner, None]), tol)
     c = _T3Constants(*columns[:, owner])
+    roots = _bisect_t3(a, b, fa, sign, c, tol)
     r2, r3, r4, y, ok = _t3_candidates(roots, sign, c)
     fval = _t3_reduction(roots, c, r2, r3, r4, y, ok)
     a2 = np.array([p.a2 for p in ps])[owner]
@@ -677,8 +629,8 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     return _solve_theorem3_many([p], tol or default_tolerances())[0]
 
 
-# states per batch of compute_ree_many; bounds the bisection-tree arrays
-CHUNK = 32
+# states per batch of compute_ree_many; bounds its stacked validation
+CHUNK = 512
 
 
 def compute_ree(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
@@ -701,13 +653,11 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     spectral relative entropy all pass; otherwise the result is downgraded
     to ansatz_failure with diagnostics.
 
-    The states run CHUNK at a time. Dispatch and the theorem1/2 solvers
-    run per state. The chunk's Theorem 3 root grids run GRID_BLOCK_POINTS
-    grid points at a time (_t3_grid), every Theorem 3 bracket of the chunk
-    is polished in one _bisect_t3 call and filtered in one array pass, and
-    the chunk's validation decomposes all its matrices in one stacked
-    hermitian_eig call. A result does not depend on the other states in
-    the list.
+    The states run CHUNK at a time: the chunk's Theorem 3 root grids run
+    GRID_BLOCK_POINTS grid points per pass (_t3_grid), all its brackets
+    are bisected in one _bisect_t3 call, and its validation makes one
+    stacked hermitian_eig call. A result does not depend on the other
+    states in the list.
     """
     tol = tol or default_tolerances()
     params = list(params)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import xree.ree as ree_module
 from xree import compute_ree, compute_ree_many, default_tolerances, x_state
 from xree.errors import InvalidStateError
 from xree.ree import (
@@ -18,11 +19,20 @@ from xree.ree import (
     BRANCH_THEOREM1,
     BRANCH_THEOREM2,
     BRANCH_THEOREM3,
-    CHUNK,
 )
 from xree.states import XStateParams
 
 from conftest import random_entangled_params, random_separable_params
+
+# states per chunk here, well below ree.CHUNK, so a batch of a few dozen
+# states spans several chunks
+CHUNK = 32
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(ree_module, "CHUNK", CHUNK)
+
 
 # a1 of the pure-middle-block theorem2 states x_state(a1, b, b, 0, b),
 # b = (1 - a1)/2, whose rounded CSS fails validation (test_scoring.py)

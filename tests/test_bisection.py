@@ -1,8 +1,10 @@
-"""The Theorem 3 root polish: bisection trees walked level by level.
+"""The Theorem 3 root polish: every bracket bisected together.
 
-`_bisect_t3` values several bisection levels of every bracket in one
-reduction call; each root must equal plain one-step-at-a-time bisection
-bit for bit, whatever the bracket width, tolerance or nan placement.
+`_bisect_t3` values the midpoints of all brackets still active in one
+reduction call per bisection level; each root must equal plain
+one-bracket-at-a-time bisection bit for bit, whatever the bracket width,
+tolerance or nan placement, and a batch must take as many calls as its
+longest bracket takes steps.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ import xree.ree as ree_module
 from xree.config import default_tolerances
 from xree.cli import main
 from xree.ree import (
-    BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, _bisect_t3, _t3_equation, solve_theorem3,
+    BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, GRID_BLOCK_POINTS, _bisect_t3, _t3_equation,
+    solve_theorem3,
 )
 from xree.states import RAINS_PARAMS
 
@@ -90,31 +93,18 @@ def test_brackets_of_every_step_count_in_one_call(monkeypatch, reduction, root, 
         want, mids = scalar_bisection(f, float(a[k]), float(b[k]), float(fa[k]), bisect_tol)
         assert len(mids) == n
         assert got[k] == want
-    # eight levels per call: 31 steps take four calls
-    assert len(seen) == 4
+    # one call per level, on every bracket still active
+    assert len(seen) == max(STEP_COUNTS)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.25, 0.5)])
 def test_exact_zero_at_a_node_or_end(monkeypatch, a, b):
-    # f vanishes at the tree node 0.25; fa * f(mid) <= 0 then keeps the left half
+    # f vanishes at the midpoint 0.25; fa * f(mid) <= 0 then keeps the left half
     monkeypatch.setattr(ree_module, "_t3_equation", lambda r1, sign, p: r1 - 0.25)
     tol = default_tolerances()
     got = _bisect_t3(np.array([a]), np.array([b]), np.array([a - 0.25]), np.ones(1), None, tol)
     want, _ = scalar_bisection(lambda r: r - 0.25, a, b, a - 0.25, tol.root_bisect_tol)
     assert got[0] == want
-
-
-def test_nan_off_the_walked_path_changes_nothing(monkeypatch):
-    # the root 0.3 lies in [0, 0.5], so the node 0.75 is valued but never visited
-    def reduction(r1, sign, p):
-        return np.where(r1 == 0.75, np.nan, r1 - 0.3)
-
-    tol = default_tolerances()
-    seen = counted(monkeypatch, reduction)
-    got = _bisect_t3(np.array([0.0]), np.array([1.0]), np.array([-0.3]), np.ones(1), None, tol)
-    want, mids = scalar_bisection(lambda r: r - 0.3, 0.0, 1.0, -0.3, tol.root_bisect_tol)
-    assert 0.75 in seen[0] and 0.75 not in mids
-    assert math.isfinite(got[0]) and got[0] == want
 
 
 @pytest.mark.parametrize("visit", [0, 2, 7, 8, 11, -1])
@@ -142,23 +132,27 @@ def test_zero_width_bracket_returns_its_end_without_a_call(monkeypatch):
     assert seen == []
 
 
-def test_rains_solve_makes_at_most_six_reduction_calls(monkeypatch):
-    # one for the grid, four tree rounds for the 31 steps, one for the check
+def test_rains_solve_makes_one_reduction_call_per_level(monkeypatch):
+    # one for the grid and one for each of the 31 steps of its one bracket
     seen = counted(monkeypatch, _t3_equation)
     result = solve_theorem3(RAINS_PARAMS)
     assert result.branch == BRANCH_THEOREM3
-    assert len(seen) <= 6
+    assert len(seen) == 32
 
 
 def test_scan_polishes_each_chunk_together(monkeypatch, capsys):
-    # one grid call per state and at most five tree rounds per chunk; a
-    # polish state by state makes about four rounds per state
+    # one grid call per block of states and one call per bisection level
+    # per chunk; a polish state by state makes about 31 calls per state
     seen = counted(monkeypatch, _t3_equation)
     grid = os.path.join(os.path.dirname(__file__), "..", "grids", "baseline_line.json")
     assert main(["scan", "--grid", grid]) == 0
     branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
     assert len(branches) == 400
-    assert len(seen) <= 400 + 5 * math.ceil(400 / CHUNK)
+    tol = default_tolerances()
+    per_block = max(1, GRID_BLOCK_POINTS // tol.root_grid_points)
+    # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
+    levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
+    assert len(seen) <= math.ceil(400 / per_block) + levels * math.ceil(400 / CHUNK)
     assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
 
 

@@ -97,3 +97,37 @@ class TestMatrixPath:
         path.write_text(json.dumps({"matrix": pairs}))
         assert main(["compute", "--input", str(path)]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, literal",
+    [
+        pytest.param(
+            "scan", '{"mode": "simplex", "p": NaN, "split": 0.4, "steps": 2}', "NaN",
+            id="simplex-p-nan",
+        ),
+        pytest.param(
+            "scan",
+            '{"mode": "line", "family": "theorem3_example", "count": 5,'
+            ' "from": [0.66, 0.16, 0.03, 0.06, 0.09], "to": [0.66, 0.05, Infinity, 0.04, 0.18]}',
+            "Infinity",
+            id="line-to-infinity",
+        ),
+        pytest.param(
+            "compute",
+            '{"params": {"A1": 0.1, "A2": 0.4, "A3": 0.3, "A4": 0.2, "D": 1e999}}',
+            "1e999",
+            id="state-overflow",
+        ),
+    ],
+)
+def test_non_finite_document_number_exits_invalid(tmp_path, capsys, command, text, literal):
+    # json reads NaN and Infinity and overflows 1e999 to inf; a nan grid
+    # number passes the schema's range tests and would scan nothing
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    flag = "--grid" if command == "scan" else "--input"
+    assert main([command, flag, str(path)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().endswith(f"document holds the non-finite number {literal}")

@@ -212,7 +212,7 @@ def loop_relative_entropy(rm, rho_values, eig_s, tol):
                 return math.inf
         else:
             cross += weight * math.log(lam)
-    return tr_rho_ln_rho - cross
+    return float(tr_rho_ln_rho - cross)
 
 
 class TestRelativeEntropyOneProduct:

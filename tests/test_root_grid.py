@@ -186,8 +186,9 @@ def test_chunks_bisect_the_brackets_of_their_states(monkeypatch):
 
     monkeypatch.setattr(ree_module, "_solve_theorem3_many", solving)
     monkeypatch.setattr(ree_module, "_bisect_t3", bisecting)
+    monkeypatch.setattr(ree_module, "CHUNK", 32)  # so the states span three chunks
     compute_ree_many(states)
-    assert len(calls) == math.ceil(len(states) / CHUNK)
+    assert len(calls) == math.ceil(len(states) / 32)
     tol = default_tolerances()
     per_block = GRID_BLOCK_POINTS // tol.root_grid_points
     assert any(len(ps) % per_block for ps, _ in calls)
@@ -214,7 +215,7 @@ def test_peak_memory_is_bounded_by_grid_points():
 
 
 def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
-    # one reduction call per block of states and at most five tree rounds
+    # one reduction call per block of states and one per bisection level
     # per chunk
     seen = []
     real = ree_module._t3_equation
@@ -228,6 +229,9 @@ def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
     assert main(["scan", "--grid", grid]) == 0
     branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
     assert len(branches) == 400
-    per_block = max(1, GRID_BLOCK_POINTS // default_tolerances().root_grid_points)
-    assert len(seen) <= math.ceil(400 / per_block) + 5 * math.ceil(400 / CHUNK)
+    tol = default_tolerances()
+    per_block = max(1, GRID_BLOCK_POINTS // tol.root_grid_points)
+    # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
+    levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
+    assert len(seen) <= math.ceil(400 / per_block) + levels * math.ceil(400 / CHUNK)
     assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)

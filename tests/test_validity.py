@@ -292,9 +292,10 @@ class TestValidationMatrices:
             return forward(m, tol)
 
         monkeypatch.setattr(qmath, "hermitian_eig", capturing)
+        monkeypatch.setattr(ree_module, "CHUNK", 32)  # so the states span three chunks
         results = ree_module.compute_ree_many(states)
         monkeypatch.undo()
-        assert len(stacks) == math.ceil(len(states) / ree_module.CHUNK)
+        assert len(stacks) == math.ceil(len(states) / 32)
         want = []
         branches = set()
         for p, result in zip(states, results):
@@ -381,3 +382,12 @@ def test_each_validation_problem_fails_the_solution(state, branch, field, value,
     if field == "dual_path_validation":
         assert " vs spectral " in result.diagnostics
         assert result.diagnostics.endswith(" disagree")
+
+
+def test_dual_path_problem_prints_plain_floats():
+    # the two REE values of Horodecki's state differ in the last bits, and
+    # the text holds the repr of each
+    p = from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15))
+    result = compute_ree(p, replace(default_tolerances(), dual_path_validation=1e-17))
+    assert " vs spectral " in result.diagnostics
+    assert "np.float64(" not in result.diagnostics
