@@ -204,8 +204,8 @@ def _parse_family_flag(text: str) -> XStateParams:
 def _read_json(path: str, what: str):
     """Load the JSON document at `path`; undecodable text is invalid input.
 
-    So is a non-finite number: json reads NaN, +-Infinity and overflowing
-    literals such as 1e999, and the schema's range tests pass NaN.
+    So is a number no double holds: json reads NaN, +-Infinity, 1e999 and
+    400-digit integers, and the schema's range tests pass NaN.
     """
 
     def finite(text: str) -> float:
@@ -213,9 +213,13 @@ def _read_json(path: str, what: str):
             raise InvalidStateError(f"{what} document holds the non-finite number {text}")
         return value
 
+    def integer(text: str) -> int:
+        finite(text)  # float() reads any number of digits, int() at most 4300
+        return int(text)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidStateError(f"{what} document is not valid JSON: {exc}") from exc
 

@@ -145,7 +145,7 @@ def _values(fun, stacks) -> np.ndarray:
     return np.concatenate([_values(fun, stacks[:half]), _values(fun, stacks[half:])])
 
 
-def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
+def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
     """Run adaptive Nelder-Mead from every row of x0 in lockstep.
 
     fun maps an (m, n) stack of points to their m values. Each round values
@@ -156,8 +156,6 @@ def minimize(fun, x0, *, method, maxfev, xatol, fatol) -> SimplexRuns:
     "fatol": fatol, "adaptive": True}). `oracle_ree` looks this name up as a
     module global, so wrapping `xree.oracle.minimize` sees every call.
     """
-    if method != "Nelder-Mead":
-        raise ValueError(f"unsupported method {method!r}; only Nelder-Mead runs here")
     budgets = np.broadcast_to(maxfev, len(x0))
     runs = [_nelder_mead(x, int(b), xatol, fatol) for x, b in zip(x0, budgets)]
     pending = {i: next(run) for i, run in enumerate(runs)}
@@ -191,8 +189,8 @@ class OracleConfig:
     the Caratheodory bound for the 15-dimensional two-qubit state space).
     max_iterations caps the objective evaluations per seed (at least 1);
     restarts counts the random seeds on top of the deterministic ones (0 or
-    more), drawn from rng_seed. The Nelder-Mead tolerance is fixed at
-    _CONVERGENCE_TOL.
+    more), drawn from rng_seed (0 or more). The Nelder-Mead tolerance is
+    fixed at _CONVERGENCE_TOL.
     """
 
     num_product_terms: int = 16
@@ -207,6 +205,8 @@ class OracleConfig:
             raise InvalidStateError("max_iterations must be at least 1")
         if self.restarts < 0:
             raise InvalidStateError("restarts must not be negative")
+        if self.rng_seed < 0:
+            raise InvalidStateError("rng_seed must not be negative")
 
 
 @dataclass(frozen=True)
@@ -375,16 +375,11 @@ def _objective_many(x: np.ndarray, rm: np.ndarray, tr_rho_ln_rho: float) -> np.n
     return tr_rho_ln_rho - (log_vals[:, None, :] @ quad[:, :, None])[:, 0, 0]
 
 
-def _closed_form_for(rho: DensityMatrix, tol: Tolerances) -> ReeResult | None:
-    try:
-        params = from_density_matrix(rho, tol)
-    except NotInFamilyError:
-        return None
-    return compute_ree(params, tol)
+def _deterministic_mixtures(rho, params, closed, tol):
+    """Warm-start mixtures: closed-form CSS, decohered diagonal, PPT projection.
 
-
-def _deterministic_mixtures(rho, closed, tol):
-    """Warm-start mixtures: closed-form CSS, decohered diagonal, PPT projection."""
+    params is rho as a family member, or None when rho is not in the family.
+    """
     mixtures = []
     if closed is not None and closed.css is not None:
         css_params = css_to_x_params(closed.css, tol)
@@ -394,11 +389,7 @@ def _deterministic_mixtures(rho, closed, tol):
     keep = diag > 0.0
     basis_a, basis_b = np.array([_KET0, _KET0, _KET1, _KET1]), np.array([_KET0, _KET1] * 2)
     mixtures.append((diag[keep], basis_a[keep], basis_b[keep]))
-    try:
-        params = from_density_matrix(rho, tol)
-    except NotInFamilyError:
-        return mixtures
-    if params.d > 0.0:
+    if params is not None and params.d > 0.0:
         projected = min(params.d, math.sqrt(params.a1 * params.a4))
         mixtures.append(
             separable_x_decomposition(
@@ -439,12 +430,15 @@ def oracle_ree(
         sigma = product_mixture_matrix(w, ka, kb)
         return relative_entropy(rho, DensityMatrix.from_matrix(sigma, tol), tol)
 
-    if closed is None:
-        closed = _closed_form_for(rho, tol)
+    try:
+        params = from_density_matrix(rho, tol)
+    except NotInFamilyError:
+        params = None
+    if closed is None and params is not None:
+        closed = compute_ree(params, tol)
     rng = np.random.default_rng(cfg.rng_seed)
-    starts = [
-        _encode(*_pad_mixture(*m, k)) for m in _deterministic_mixtures(rho, closed, tol)
-    ]
+    mixtures = _deterministic_mixtures(rho, params, closed, tol)
+    starts = [_encode(*_pad_mixture(*m, k)) for m in mixtures]
     for _ in range(cfg.restarts):
         logits = rng.normal(0.0, 1.0, k)
         thetas = rng.uniform(0.0, math.pi, 2 * k)
@@ -463,9 +457,7 @@ def oracle_ree(
     succeeded = np.zeros(len(starts), bool)
     live = np.arange(len(starts))
     while live.size:
-        res = minimize(
-            objective, x_cur[live], method="Nelder-Mead", maxfev=budget[live], **_NELDER_MEAD
-        )
+        res = minimize(objective, x_cur[live], maxfev=budget[live], **_NELDER_MEAD)
         budget[live] -= res.nfevs
         x_cur[live] = res.x
         succeeded[live] = res.successes

@@ -26,12 +26,13 @@ branch was found on the grid, the result is flagged as ansatz_failure.
 
 compute_ree_many takes a list of states and compute_ree is its one-state
 call. The list runs CHUNK states at a time. Validity checks, dispatch and
-the theorem1/2 solvers run state by state. The Theorem 3 root grids of a
-chunk run a few states per array pass: a (B, G) mask of the points
-feasible in r1 alone, then one reduction call on those points only. The
-chunk's brackets are bisected together, one reduction call per level,
-and its roots pass the root filters in one array pass; only the scoring
-of each state's surviving roots runs state by state. The chunk's
+the theorem1/2 solvers run state by state. A chunk's Theorem 3 states
+are read once into one table, and its root grids run a few states per
+array pass: a (B, G) mask of the points feasible in r1 alone, then one
+reduction call on those points only. The chunk's brackets are bisected
+together, one reduction call per level, and its roots pass the root
+filters in one array pass; only the scoring of each state's surviving
+roots runs state by state. The chunk's
 validation builds every matrix it needs, partial transposes included, in
 one stack and decomposes it in one eigendecomposition. Each result is
 bit for bit what the state gives alone.
@@ -123,20 +124,13 @@ def _atanh_excess(tau: float) -> float:
     return math.atanh(tau) - tau
 
 
-def ell_over_z(s: float, z: float) -> float:
-    """The ratio ell/z = ln((s+z)/(s-z)) / z, finite at z = 0.
+def _ell_over_z(s: float, z: float) -> float:
+    """The ratio ell/z = ln((s+z)/(s-z)) / z for 0 <= z < min(s, _SERIES_Z_SWITCH).
 
-    For small z this is evaluated by the series
-    (2/s) (1 + z^2/(3 s^2) + z^4/(5 s^4) + ...), avoiding 0/0.
+    Its series (2/s) (1 + z^2/(3 s^2) + z^4/(5 s^4) + ...) is finite at z = 0.
     """
-    if s <= 0.0:
-        raise LogDomainError("r2 + r3 must be positive")
-    if z < 0.0 or z >= s:
-        raise LogDomainError(f"need 0 <= z < r2 + r3, got z={z!r}, s={s!r}")
-    if z < _SERIES_Z_SWITCH:
-        t = (z / s) ** 2
-        return (2.0 / s) * (1.0 + t * (1.0 / 3.0 + t * (1.0 / 5.0 + t / 7.0)))
-    return 2.0 * math.atanh(z / s) / z
+    t = (z / s) ** 2
+    return (2.0 / s) * (1.0 + t * (1.0 / 3.0 + t * (1.0 / 5.0 + t / 7.0)))
 
 
 def _curvature(s: float, z: float) -> float:
@@ -235,9 +229,10 @@ def ree_from_css(
     det_mid = c.r2 * c.r3 - c.y * c.y
     odd = 0.5 * (p.a2 - p.a3) * u + 2.0 * p.d * c.y
     if z < _SERIES_Z_SWITCH:
-        if det_mid <= 0.0:
-            raise LogDomainError("term ln(r2 r3 - r1 r4): argument not positive")
-        cross += 0.5 * (p.a2 + p.a3) * math.log(det_mid) + odd * ell_over_z(s, z)
+        # det_mid > 0 and s > 0 give 0 <= z < s, the domain of the series
+        if det_mid <= 0.0 or s <= 0.0:
+            raise LogDomainError("term ln(r2 r3 - r1 r4): middle block not positive definite")
+        cross += 0.5 * (p.a2 + p.a3) * math.log(det_mid) + odd * _ell_over_z(s, z)
     else:
         m_plus = 0.5 * (s + z)
         m_minus = 0.5 * (s - z)
@@ -352,36 +347,43 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 
 
 class _T3Constants(NamedTuple):
-    """A state's numbers in the reduction.
+    """The rows of a _t3_table: each state's numbers in the reduction.
 
-    Python floats for one state, or (K,) columns with the state of one
-    grid point or bracket per entry. Either way they are formed on Python
-    floats: x ** 2 there calls the C library's pow, which on some doubles
-    differs in the last bit from numpy's x * x.
+    Each field holds one entry per state, per grid row (B, 1), or per grid
+    point or bracket (K,). lo and hi are the ends of each state's r1 grid;
+    the interval is empty when hi <= lo.
     """
 
-    a1: float
-    a1_minus_a4: float
-    d: float
-    d16: float
-    r1_slope: float
-    gamma0: float
-    r2_base: float
-    r3_base: float
+    a1: np.ndarray
+    a1_minus_a4: np.ndarray
+    d: np.ndarray
+    d16: np.ndarray
+    r1_slope: np.ndarray
+    gamma0: np.ndarray
+    r2_base: np.ndarray
+    r3_base: np.ndarray
+    a2: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def _t3_constants(p: XStateParams) -> _T3Constants:
-    a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
-    return _T3Constants(
-        a1,
-        a1 - a4,
-        d,
-        16.0 * d,
-        8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4),
-        (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3),
-        4.0 * a1 + 3.0 * a2 + a3,
-        4.0 * a1 + a2 + 3.0 * a3,
-    )
+def _t3_table(ps: list[XStateParams]) -> np.ndarray:
+    """The (F, n) table of _T3Constants, one column per state of ps.
+
+    It is formed on Python floats: x ** 2 there calls the C library's pow,
+    which on some doubles differs in the last bit from numpy's x * x.
+    """
+    rows = []
+    for p in ps:
+        a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
+        rows.append((
+            a1, a1 - a4, d, 16.0 * d,
+            8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4),
+            (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3),
+            4.0 * a1 + 3.0 * a2 + a3, 4.0 * a1 + a2 + 3.0 * a3,
+            a2, a1 + 1e-12, 0.5 * (1.0 + a1 - a4),
+        ))
+    return np.array(rows, dtype=float).reshape(len(ps), len(_T3Constants._fields)).T
 
 
 def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
@@ -397,18 +399,15 @@ def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
     return r4, y, gamma, (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0)
 
 
-def _t3_candidates(
-    r1: np.ndarray, sign: np.ndarray, p: XStateParams | _T3Constants
-) -> tuple[np.ndarray, ...]:
+def _t3_candidates(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
     """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
 
-    r1 and sign (+1 or -1, the branch of the (r2, r3) quadratic) broadcast,
-    and p may be _T3Constants columns with one state per entry of r1. The
-    root grid passes its K feasible points as r1 (K,) with sign (2, 1), for
-    one row per branch; the bisection and the root filters pass r1 and
-    sign (K,), one entry per bracket. r4 and y take the shape of r1.
+    r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and the
+    columns c broadcast, with one state per entry of r1. The root grid
+    passes its K feasible points as r1 (K,) with sign (2, 1), for one row
+    per branch; the bisection and the root filters pass r1 and sign (K,),
+    one entry per bracket. r4 and y take the shape of r1.
     """
-    c = p if isinstance(p, _T3Constants) else _t3_constants(p)
     r4, y, gamma, feasible = _t3_feasible(r1, c)
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
     r2 = 0.25 * (c.r2_base - 4.0 * r1 + sign * root)
@@ -416,25 +415,21 @@ def _t3_candidates(
     return r2, r3, r4, y, feasible & (r2 > 0.0) & (r3 > 0.0)
 
 
-def _t3_equation(
-    r1: np.ndarray, sign: np.ndarray, p: XStateParams | _T3Constants
-) -> np.ndarray:
+def _t3_equation(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> np.ndarray:
     """The one-variable reduction f(r1); nan where the candidate is infeasible.
 
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1, sign and p broadcast as in _t3_candidates: (K,) with (2, 1) or (K,)
+    r1, sign and c broadcast as in _t3_candidates: (K,) with (2, 1) or (K,)
     with (K,); f has their common shape.
     """
-    return _t3_reduction(r1, p, *_t3_candidates(r1, sign, p))
+    return _t3_reduction(r1, c, *_t3_candidates(r1, sign, c))
 
 
-def _t3_reduction(
-    r1: np.ndarray, p: XStateParams | _T3Constants, r2, r3, r4, y, ok: np.ndarray
-) -> np.ndarray:
+def _t3_reduction(r1: np.ndarray, c: _T3Constants, r2, r3, r4, y, ok: np.ndarray) -> np.ndarray:
     """f(r1) of _t3_equation from the output of _t3_candidates; ok is not changed."""
-    a1, d = p.a1, p.d
+    a1, d = c.a1, c.d
     with np.errstate(invalid="ignore", divide="ignore"):
         u = r2 - r3
         s = r2 + r3
@@ -458,25 +453,23 @@ def _splits(a, b, tol: Tolerances):
 
 def _bisect_t3(
     a: np.ndarray, b: np.ndarray, fa: np.ndarray, sign: np.ndarray,
-    p: XStateParams | _T3Constants, tol: Tolerances,
+    table: np.ndarray, tol: Tolerances,
 ) -> np.ndarray:
     """Halve every sign-change bracket [a, b] of the reduction together.
 
     Each step keeps the left half when fa * f(mid) <= 0 and the right half
     otherwise. A bracket stops once _splits is false, and its root is its
     midpoint. A nan value at a midpoint stops the bracket and makes its
-    root nan. p is one state for every bracket, or _T3Constants columns
-    with one state per bracket. One _t3_equation call per level values the
-    midpoints of all active brackets, each with its own sign.
+    root nan. table holds the _t3_table column of each bracket's state.
+    One _t3_equation call per level values the midpoints of all active
+    brackets, each with its own sign and state.
     """
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
-    columns = np.array(p) if isinstance(p, _T3Constants) else None
     active = np.arange(len(a))
     while (active := active[_splits(a[active], b[active], tol)]).size:
         lo, hi, f_lo = a[active], b[active], fa[active]
         mid = 0.5 * (lo + hi)
-        q = p if columns is None else _T3Constants(*columns[:, active])
-        f = _t3_equation(mid, sign[active], q)
+        f = _t3_equation(mid, sign[active], _T3Constants(*table[:, active]))
         # Python floats multiply 0 * inf and overflow without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             left = f_lo * f <= 0.0
@@ -492,21 +485,16 @@ def _bisect_t3(
 GRID_BLOCK_POINTS = 8000
 
 
-def _t3_span(p: XStateParams) -> tuple[float, float]:
-    """The ends (lo, hi) of a state's r1 grid; the interval is empty when hi <= lo."""
-    return p.a1 + 1e-12, 0.5 * (1.0 + p.a1 - p.a4)
-
-
-def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
+def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The sign-change brackets (a, b, fa, sign, owner) of every state's root grid.
 
-    spans holds each state's (lo, hi) and columns its _T3Constants, one
-    column per state; owner is the state of each bracket. A state's grid is
-    linspace(lo, hi, root_grid_points) with both sign branches on it. A
-    bracket is a cell of one grid row with finite values at both ends and
-    a sign change or a zero at its left end; a zero-width bracket [r, r]
-    is not bisected and returns its root r. The brackets come out by
-    state, then sign +1 before -1, then r1 ascending.
+    table is the _t3_table of the states, one column per state; owner is
+    the state of each bracket. A state's grid, with both sign branches on
+    it, is linspace(lo, hi, root_grid_points) on its lo and hi. A bracket
+    is a cell of one grid row with finite values at both ends and a sign
+    change or a zero at its left end; a zero-width bracket [r, r] is not
+    bisected and returns its root r. The brackets come out by state, then
+    sign +1 before -1, then r1 ascending.
 
     The grids of a few states stack into one (B, G) array. Feasibility in
     r1 alone (_t3_feasible) is decided on that array, and the reduction
@@ -517,17 +505,18 @@ def _t3_grid(spans, columns: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, .
     """
     n = tol.root_grid_points
     per_block = max(1, GRID_BLOCK_POINTS // n)
-    spanned = [k for k, (lo, hi) in enumerate(spans) if hi > lo]
+    c = _T3Constants(*table)
+    spanned = np.flatnonzero(c.hi > c.lo)
     signs = np.array([[1.0], [-1.0]])
     found = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
     for start in range(0, len(spanned), per_block):
-        block = np.array(spanned[start : start + per_block])
-        grid = np.array([np.linspace(*spans[k], n) for k in block])
-        feasible = _t3_feasible(grid, _T3Constants(*columns[:, block, None]))[3]
+        block = spanned[start : start + per_block]
+        grid = np.array([np.linspace(lo, hi, n) for lo, hi in zip(c.lo[block], c.hi[block])])
+        feasible = _t3_feasible(grid, _T3Constants(*table[:, block, None]))[3]
         at = np.flatnonzero(feasible)  # into the block's grid, row-major
         owner = block[at // n]
         r1 = grid[feasible]
-        f = _t3_equation(r1, signs, _T3Constants(*columns[:, owner]))
+        f = _t3_equation(r1, signs, _T3Constants(*table[:, owner]))
         finite = np.isfinite(f)
         cell = (at[1:] == at[:-1] + 1) & (at[:-1] % n < n - 1)
         both = cell & finite[:, :-1] & finite[:, 1:]
@@ -588,15 +577,14 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     for p in ps:
         if not is_entangled(p):
             raise WrongBranchError("theorem3 requires an entangled input")
-    spans = [_t3_span(p) for p in ps]
-    columns = np.array([_t3_constants(p) for p in ps], dtype=float).reshape(len(ps), -1).T
-    a, b, fa, sign, owner = _t3_grid(spans, columns, tol)
-    c = _T3Constants(*columns[:, owner])
-    roots = _bisect_t3(a, b, fa, sign, c, tol)
+    table = _t3_table(ps)
+    a, b, fa, sign, owner = _t3_grid(table, tol)
+    columns = table[:, owner]
+    c = _T3Constants(*columns)
+    roots = _bisect_t3(a, b, fa, sign, columns, tol)
     r2, r3, r4, y, ok = _t3_candidates(roots, sign, c)
     fval = _t3_reduction(roots, c, r2, r3, r4, y, ok)
-    a2 = np.array([p.a2 for p in ps])[owner]
-    side = (r2 - r3) * (a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
+    side = (r2 - r3) * (c.a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
     keep = np.flatnonzero(
         (np.abs(fval) <= tol.root_value_cap)
         & ok
@@ -608,11 +596,12 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     for k, row in zip(owner[keep].tolist(), rows):
         kept[k].append(row)
     brackets = np.bincount(owner, minlength=len(ps)).tolist()
+    states = _T3Constants(*table.tolist())
     return [
         _t3_result(p, kept[k], brackets[k], tol)
         if hi > lo
         else ReeResult(None, None, BRANCH_FAILURE, None, "empty feasible interval for r1")
-        for k, (p, (lo, hi)) in enumerate(zip(ps, spans))
+        for k, (p, lo, hi) in enumerate(zip(ps, states.lo, states.hi))
     ]
 
 
@@ -653,11 +642,11 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     spectral relative entropy all pass; otherwise the result is downgraded
     to ansatz_failure with diagnostics.
 
-    The states run CHUNK at a time: the chunk's Theorem 3 root grids run
-    GRID_BLOCK_POINTS grid points per pass (_t3_grid), all its brackets
-    are bisected in one _bisect_t3 call, and its validation makes one
-    stacked hermitian_eig call. A result does not depend on the other
-    states in the list.
+    The states run CHUNK at a time: the chunk's Theorem 3 states fill one
+    _t3_table, their root grids run GRID_BLOCK_POINTS grid points per pass
+    (_t3_grid), all their brackets are bisected in one _bisect_t3 call, and
+    the chunk's validation makes one stacked hermitian_eig call. A result
+    does not depend on the other states in the list.
     """
     tol = tol or default_tolerances()
     params = list(params)

@@ -47,12 +47,20 @@ def tolerances(bisect_tol):
     return dataclasses.replace(default_tolerances(), root_bisect_tol=bisect_tol)
 
 
+def rains_table(k):
+    """The Theorem 3 table of k copies of the Rains state, one column per bracket."""
+    return ree_module._t3_table([RAINS_PARAMS] * k)
+
+
+RAINS = ree_module._T3Constants(*rains_table(1))
+
+
 def linear(r1, sign, p):
     return r1 - 0.3
 
 
 def rains(r1, sign, p):
-    return _t3_equation(r1, sign, RAINS_PARAMS)
+    return _t3_equation(r1, sign, p)
 
 
 def counted(monkeypatch, reduction):
@@ -81,14 +89,14 @@ def test_brackets_of_every_step_count_in_one_call(monkeypatch, reduction, root, 
     a = np.array([root - 0.37 * w for w in widths])
     b = np.array([root + 0.63 * w for w in widths])
     sign = np.ones(len(widths))
-    fa = reduction(a, sign, RAINS_PARAMS)
+    fa = reduction(a, sign, RAINS)
     assert np.isfinite(fa).all()
 
     def f(r):
-        return float(reduction(np.array([r]), np.array(1.0), RAINS_PARAMS)[0])
+        return float(reduction(np.array([r]), np.array(1.0), RAINS)[0])
 
     seen = counted(monkeypatch, reduction)
-    got = _bisect_t3(a, b, fa, sign, RAINS_PARAMS, tolerances(bisect_tol))
+    got = _bisect_t3(a, b, fa, sign, rains_table(len(a)), tolerances(bisect_tol))
     for k, n in enumerate(STEP_COUNTS):
         want, mids = scalar_bisection(f, float(a[k]), float(b[k]), float(fa[k]), bisect_tol)
         assert len(mids) == n
@@ -102,7 +110,9 @@ def test_exact_zero_at_a_node_or_end(monkeypatch, a, b):
     # f vanishes at the midpoint 0.25; fa * f(mid) <= 0 then keeps the left half
     monkeypatch.setattr(ree_module, "_t3_equation", lambda r1, sign, p: r1 - 0.25)
     tol = default_tolerances()
-    got = _bisect_t3(np.array([a]), np.array([b]), np.array([a - 0.25]), np.ones(1), None, tol)
+    got = _bisect_t3(
+        np.array([a]), np.array([b]), np.array([a - 0.25]), np.ones(1), rains_table(1), tol
+    )
     want, _ = scalar_bisection(lambda r: r - 0.25, a, b, a - 0.25, tol.root_bisect_tol)
     assert got[0] == want
 
@@ -117,7 +127,9 @@ def test_nan_on_the_walked_path_makes_the_root_nan(monkeypatch, visit):
         return np.where(r1 == bad, np.nan, r1 - 0.3)
 
     monkeypatch.setattr(ree_module, "_t3_equation", reduction)
-    got = _bisect_t3(np.array([0.0]), np.array([1.0]), np.array([-0.3]), np.ones(1), None, tol)
+    got = _bisect_t3(
+        np.array([0.0]), np.array([1.0]), np.array([-0.3]), np.ones(1), rains_table(1), tol
+    )
     assert math.isnan(got[0])
 
 
@@ -125,7 +137,7 @@ def test_zero_width_bracket_returns_its_end_without_a_call(monkeypatch):
     seen = counted(monkeypatch, linear)
     end = 0.1 + 0.2
     got = _bisect_t3(
-        np.array([end]), np.array([end]), np.array([end - 0.3]), np.ones(1), None,
+        np.array([end]), np.array([end]), np.array([end - 0.3]), np.ones(1), rains_table(1),
         default_tolerances(),
     )
     assert got[0] == end
@@ -247,7 +259,7 @@ def test_random_brackets_with_zeros_and_nans_in_one_call(monkeypatch, bisect_tol
 
     fa = reduction(a, None, None)
     monkeypatch.setattr(ree_module, "_t3_equation", reduction)
-    got = _bisect_t3(a, b, fa, np.ones(len(a)), None, tolerances(bisect_tol))
+    got = _bisect_t3(a, b, fa, np.ones(len(a)), rains_table(len(a)), tolerances(bisect_tol))
     kinds = set()
     for k in range(len(a)):
         want, hit_zero = stopping_bisection(f, float(a[k]), float(b[k]), float(fa[k]), bisect_tol)

@@ -339,7 +339,11 @@ class TestToleranceOverride:
 class TestOracleBudgets:
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--iterations", "0", "max_iterations"), ("--restarts", "-3", "restarts")],
+        [
+            ("--iterations", "0", "max_iterations"),
+            ("--restarts", "-3", "restarts"),
+            ("--seed", "-1", "rng_seed"),
+        ],
     )
     def test_meaningless_budget_exits_invalid(self, capsys, flag, value, field):
         code, out, err = run_cli(capsys, "oracle", "--family", "rains", flag, value)

@@ -19,6 +19,8 @@ from xree.states import XStateParams, named_state
 
 NAN = math.nan
 INF = math.inf
+# an integer literal far above the largest double
+BIG = "1" + "0" * 399
 
 
 @pytest.mark.parametrize(
@@ -119,11 +121,40 @@ class TestMatrixPath:
             "1e999",
             id="state-overflow",
         ),
+        pytest.param(
+            "compute",
+            '{"params": {"A1": %s, "A2": 0.4, "A3": 0.3, "A4": 0.2, "D": 0.1}}' % BIG,
+            BIG,
+            id="state-integer-overflow",
+        ),
+        pytest.param(
+            "scan",
+            '{"mode": "line", "family": "theorem3_example", "count": 5,'
+            ' "from": [%s, 0.16, 0.03, 0.06, 0.09], "to": [0.66, 0.05, 0.07, 0.04, 0.18]}'
+            % BIG,
+            BIG,
+            id="line-from-integer-overflow",
+        ),
+        pytest.param(
+            "scan",
+            '{"mode": "raw", "axes": {"a1": %s, "a2": 0.4, "a3": 0.3, "a4": 0.2, "d": 0.1}}'
+            % BIG,
+            BIG,
+            id="raw-axis-integer-overflow",
+        ),
+        pytest.param(
+            "scan",
+            '{"mode": "simplex", "p": 0.66, "split": 0.4, "steps": %s}' % ("9" * 4301),
+            "9" * 4301,
+            id="simplex-steps-over-int-digit-limit",
+        ),
     ],
 )
 def test_non_finite_document_number_exits_invalid(tmp_path, capsys, command, text, literal):
     # json reads NaN and Infinity and overflows 1e999 to inf; a nan grid
-    # number passes the schema's range tests and would scan nothing
+    # number passes the schema's range tests and would scan nothing; an
+    # integer too large for a double overflows at its first use, and one of
+    # more than 4300 digits fails inside json.load
     path = tmp_path / "doc.json"
     path.write_text(text)
     flag = "--grid" if command == "scan" else "--input"

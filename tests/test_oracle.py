@@ -176,6 +176,11 @@ class TestOracleRee:
         with pytest.raises(Exception):
             OracleConfig(num_product_terms=3)
 
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng rejects it only after the solve
+        with pytest.raises(InvalidStateError, match="rng_seed"):
+            OracleConfig(rng_seed=-1)
+
 
 def _decode_per_qubit(x, k):
     """The per-qubit np.stack formula that _decode must reproduce bit for bit."""
@@ -335,18 +340,18 @@ class TestLockstepNelderMead:
             budgets += sorted(picks)
         assert covered == {"xe", "xc", "shrunk"}
         starts, budgets = np.array(starts), np.array(budgets)
-        res = minimize(fun, starts, method="Nelder-Mead", maxfev=budgets, **_NELDER_MEAD)
+        res = minimize(fun, starts, maxfev=budgets, **_NELDER_MEAD)
         _assert_rows_match_scipy(fun, res, starts, budgets, **_NELDER_MEAD)
 
     def test_converged_seed_restarts_like_scipy(self):
         fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
         tols = {"xatol": 1e-2, "fatol": 1e-6}
         starts = np.array([_warm_start(SEPARABLE_DIAGONAL, 4), np.full(20, 0.5)])
-        first = minimize(fun, starts, method="Nelder-Mead", maxfev=400, **tols)
+        first = minimize(fun, starts, maxfev=400, **tols)
         _assert_rows_match_scipy(fun, first, starts, [400, 400], **tols)
         assert first.successes[0] and first.nfevs[0] < 400
         left = 400 - first.nfevs[:1]
-        again = minimize(fun, first.x[:1], method="Nelder-Mead", maxfev=left, **tols)
+        again = minimize(fun, first.x[:1], maxfev=left, **tols)
         _assert_rows_match_scipy(fun, again, first.x[:1], left, **tols)
 
     # Warm-start padding at weight 1e-12 moves the value by less than fatol,
@@ -365,7 +370,7 @@ class TestLockstepNelderMead:
     def test_convergence_test_matches_scipy(self, xatol, fatol, budget, converges):
         fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
         starts = _warm_start(SEPARABLE_DIAGONAL, 16)[None]
-        res = minimize(fun, starts, method="Nelder-Mead", maxfev=budget, xatol=xatol, fatol=fatol)
+        res = minimize(fun, starts, maxfev=budget, xatol=xatol, fatol=fatol)
         _assert_rows_match_scipy(fun, res, starts, [budget], xatol, fatol)
         assert res.success == converges
 
@@ -396,11 +401,6 @@ class TestLockstepNelderMead:
             except StopIteration:
                 stopped = True
         assert stopped == want
-
-    def test_other_methods_rejected(self):
-        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
-        with pytest.raises(ValueError):
-            minimize(fun, np.zeros((1, 20)), method="Powell", maxfev=10, **_NELDER_MEAD)
 
 
 class TestValues:

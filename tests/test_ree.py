@@ -27,7 +27,7 @@ from xree import (
 )
 import xree.ree as ree_module
 from xree.config import default_tolerances
-from xree.errors import WrongBranchError
+from xree.errors import LogDomainError, WrongBranchError
 from xree.ree import (
     BRANCH_FAILURE,
     BRANCH_SEPARABLE,
@@ -39,7 +39,9 @@ from xree.ree import (
     _bisect_t3,
     _branch_of,
     _multiplier,
+    _T3Constants,
     _t3_equation,
+    _t3_table,
     input_spectrum_pair,
 )
 from xree.states import _ENTANGLEMENT_MARGIN, RAINS_PARAMS, XStateParams
@@ -101,6 +103,14 @@ class TestReeFromCss:
         )
         assert formula == pytest.approx(spectral, abs=1e-10)
         assert formula == pytest.approx(RAINS_REE, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, -0.3], ids=["zero", "negative-definite"])
+    def test_series_branch_needs_a_positive_definite_middle_block(self, r):
+        # r2 = r3 and y = 0 give z = 0, so ell/z takes its series, which
+        # needs r2 r3 - y^2 > 0 and r2 + r3 > 0
+        p = x_state(0.0, 0.55, 0.45, 0.0, 0.25)
+        with pytest.raises(LogDomainError, match="middle block not positive definite"):
+            ree_from_css(p, css_solution(0.0, r, r, 0.0, 0.0, 0.0, 0.0))
 
 
 class TestTheorem1:
@@ -249,9 +259,10 @@ class TestTheorem3:
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_entangled_params(rng, "theorem3")
+            c = _T3Constants(*_t3_table([p]))
             grid = np.linspace(p.a1 + 1e-12, 0.5 * (1.0 + p.a1 - p.a4), 200)
             for sign in (1.0, -1.0):
-                vals = _t3_equation(grid, np.array(sign), p)
+                vals = _t3_equation(grid, np.array(sign), c)
                 cells = [
                     i
                     for i in range(len(grid) - 1)
@@ -261,13 +272,13 @@ class TestTheorem3:
                     continue
                 got = _bisect_t3(
                     grid[cells], grid[[i + 1 for i in cells]], vals[cells],
-                    np.full(len(cells), sign), p, tol,
+                    np.full(len(cells), sign), _t3_table([p] * len(cells)), tol,
                 )
                 for i, root in zip(cells, got):
                     a, b, fa = float(grid[i]), float(grid[i + 1]), float(vals[i])
                     while b - a > tol.root_bisect_tol:
                         mid = 0.5 * (a + b)
-                        fm = float(_t3_equation(np.array([mid]), np.array(sign), p)[0])
+                        fm = float(_t3_equation(np.array([mid]), np.array(sign), c)[0])
                         if fa * fm <= 0.0:
                             b = mid
                         else:
@@ -284,7 +295,8 @@ class TestTheorem3:
         monkeypatch.setattr(ree_module, "_t3_equation", reduction)
         a, b = np.array([0.2, 0.5, 0.65]), np.array([0.4, 0.7, 0.65])
         fa = reduction(a, None, None)
-        roots = _bisect_t3(a, b, fa, np.ones(3), RAINS_PARAMS, default_tolerances())
+        table = _t3_table([RAINS_PARAMS] * 3)
+        roots = _bisect_t3(a, b, fa, np.ones(3), table, default_tolerances())
         assert roots[0] == pytest.approx(0.3, abs=1e-13)
         assert math.isnan(roots[1])
         assert roots[2] == 0.65

@@ -29,6 +29,11 @@ EMPTY_SPAN = XStateParams(0.5, 0.0, 0.0, 0.5, 0.0)
 NO_FEASIBLE_POINT = XStateParams(0.2, 0.3, 0.3, 0.2, 0.0)
 
 
+def constants(p):
+    """The one-column Theorem 3 table of p, as _T3Constants."""
+    return ree_module._T3Constants(*ree_module._t3_table([p]))
+
+
 def reference_brackets(p, tol):
     """One state's brackets (a, b, fa, sign) by its own (2, G) grid.
 
@@ -42,7 +47,7 @@ def reference_brackets(p, tol):
         return [np.empty(0)] * 4
     grid = np.linspace(lo, hi, tol.root_grid_points)
     signs = np.array([[1.0], [-1.0]])
-    vals = ree_module._t3_equation(grid, signs, p)
+    vals = ree_module._t3_equation(grid, signs, constants(p))
     finite = np.isfinite(vals)
     both = finite[:, :-1] & finite[:, 1:]
     change = both & (vals[:, :-1] * vals[:, 1:] < 0.0)
@@ -71,9 +76,7 @@ def assert_same_block_brackets(ps, got, tol):
 
 
 def block_brackets(ps, tol):
-    spans = [ree_module._t3_span(p) for p in ps]
-    columns = np.array([ree_module._t3_constants(p) for p in ps]).reshape(len(ps), -1).T
-    return ree_module._t3_grid(spans, columns, tol)
+    return ree_module._t3_grid(ree_module._t3_table(ps), tol)
 
 
 def theorem3_states(seed, count):
@@ -99,22 +102,31 @@ def test_block_grid_equals_each_state_alone(points):
 
 def test_the_special_states_have_no_brackets():
     tol = default_tolerances()
-    lo, hi = ree_module._t3_span(EMPTY_SPAN)
-    assert hi <= lo
-    grid = np.linspace(*ree_module._t3_span(NO_FEASIBLE_POINT), tol.root_grid_points)
-    c = ree_module._t3_constants(NO_FEASIBLE_POINT)
+    c = constants(EMPTY_SPAN)
+    assert c.hi[0] <= c.lo[0]
+    c = constants(NO_FEASIBLE_POINT)
+    grid = np.linspace(c.lo[0], c.hi[0], tol.root_grid_points)
     assert not ree_module._t3_feasible(grid, c)[3].any()
     for p in (EMPTY_SPAN, NO_FEASIBLE_POINT):
         assert [len(v) for v in block_brackets([p], tol)] == [0] * 5
 
 
 def test_empty_interval_result(monkeypatch):
-    # no valid entangled state has hi <= lo, so one state's span is emptied
+    # no valid entangled state has hi <= lo, so one state's hi is set to its lo
     states = theorem3_states(5, 6)
     alone = compute_ree_many(states)
     empty = states[2]
-    span = ree_module._t3_span
-    monkeypatch.setattr(ree_module, "_t3_span", lambda p: (0.5, 0.5) if p is empty else span(p))
+    table_of = ree_module._t3_table
+    lo, hi = (ree_module._T3Constants._fields.index(name) for name in ("lo", "hi"))
+
+    def emptied(ps):
+        table = table_of(ps)
+        for k, p in enumerate(ps):
+            if p is empty:
+                table[hi, k] = table[lo, k]
+        return table
+
+    monkeypatch.setattr(ree_module, "_t3_table", emptied)
     got = compute_ree_many(states)
     assert got[2].branch == BRANCH_FAILURE
     assert got[2].diagnostics == "empty feasible interval for r1"
@@ -153,8 +165,9 @@ def test_cells_stay_inside_one_grid_row(monkeypatch):
     # so the last point of one state's row is next to the first of the next
     state = XStateParams(0.1, 0.4, 0.4, 0.1, 5.0)
     tol = grid_tolerances(200)
-    grid = np.linspace(*ree_module._t3_span(state), tol.root_grid_points)
-    assert ree_module._t3_feasible(grid, ree_module._t3_constants(state))[3].all()
+    c = constants(state)
+    grid = np.linspace(c.lo[0], c.hi[0], tol.root_grid_points)
+    assert ree_module._t3_feasible(grid, c)[3].all()
 
     def reduction(r1, sign, p):
         return np.broadcast_to(r1 - 0.3, np.broadcast_shapes(np.shape(r1), np.shape(sign)))
@@ -180,9 +193,9 @@ def test_chunks_bisect_the_brackets_of_their_states(monkeypatch):
         calls.append([ps])
         return solve(ps, tol)
 
-    def bisecting(a, b, fa, sign, p, tol):
+    def bisecting(a, b, fa, sign, table, tol):
         calls[-1].append((a, b, fa, sign))
-        return bisect(a, b, fa, sign, p, tol)
+        return bisect(a, b, fa, sign, table, tol)
 
     monkeypatch.setattr(ree_module, "_solve_theorem3_many", solving)
     monkeypatch.setattr(ree_module, "_bisect_t3", bisecting)
