@@ -1,15 +1,13 @@
 """Numerical tolerances that callers may set.
 
-The frozen dataclass holds the 15 thresholds that something outside
-their reading module sets or reads, and a JSON file named by the
-REE_TOL_OVERRIDE environment variable may override any of them. The
-tests set the validation bounds (residual_validation, edge_validation,
+The frozen dataclass holds the 11 thresholds that something outside
+their reading module sets, and a JSON file named by the REE_TOL_OVERRIDE
+environment variable may override any of them. The tests set the
+validation bounds (residual_validation, edge_validation,
 dual_path_validation, y_edge, simplex, psd, trace) and the solver bounds
-(sign_residual, root_bisect_tol, root_value_cap) one at a time, and read
-the spectral cut-offs (eigenvalue_clamp, support_eigenvalue,
-support_leak); the benchmark sets root_grid_points; eig_hermitian_pre
-reaches hermitian_eig with the whole set. A threshold nothing else sets
-is a constant of the one module that reads it, and an override file that
+(sign_residual, root_bisect_tol, root_value_cap) one at a time; the
+benchmark sets root_grid_points. A threshold nothing else sets is a
+constant of the one module that reads it, and an override file that
 names one exits as an unknown field.
 """
 
@@ -26,26 +24,18 @@ _ENV_VAR = "REE_TOL_OVERRIDE"
 
 @dataclass(frozen=True)
 class Tolerances:
-    # state validation
+    # state validation, set by the tests
     trace: float = 1e-12
     psd: float = 1e-10
     simplex: float = 1e-12
 
-    # eigensolver input check and entropy eigenvalue cut-off
-    eig_hermitian_pre: float = 1e-10
-    eigenvalue_clamp: float = 1e-15
-
-    # relative entropy support handling
-    support_eigenvalue: float = 1e-12
-    support_leak: float = 1e-10
-
-    # solver internals
+    # solver bounds, set by the tests; the benchmark sets root_grid_points
     sign_residual: float = 1e-8
     root_grid_points: int = 2000
     root_bisect_tol: float = 1e-13
     root_value_cap: float = 1e-6
 
-    # solution validation
+    # solution validation, set by the tests
     residual_validation: float = 1e-8
     edge_validation: float = 1e-9
     dual_path_validation: float = 1e-9

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, NotInFamilyError
-from .qmath import DensityMatrix, relative_entropy
+from .qmath import _EIGENVALUE_CLAMP, DensityMatrix, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
 from .states import (
     _X_PATTERN,
@@ -308,7 +308,7 @@ def separable_x_decomposition(
         (r3 - e3, _KET1, _KET0),
         (r4 - e4, _KET1, _KET1),
     ):
-        if leftover > tol.eigenvalue_clamp:
+        if leftover > _EIGENVALUE_CLAMP:
             weights.append(leftover)
             kets_a.append(ka)
             kets_b.append(kb)
@@ -419,16 +419,14 @@ def oracle_ree(
     k = cfg.num_product_terms
     rm = rho.matrix
     eigvals = np.linalg.eigvalsh(rm)
-    tr_rho_ln_rho = float(
-        sum(v * math.log(v) for v in eigvals if v > tol.eigenvalue_clamp)
-    )
+    tr_rho_ln_rho = float(sum(v * math.log(v) for v in eigvals if v > _EIGENVALUE_CLAMP))
 
     def objective(x: np.ndarray) -> np.ndarray:
         return _objective_many(x, rm, tr_rho_ln_rho)
 
     def true_value(w, ka, kb) -> float:
         sigma = product_mixture_matrix(w, ka, kb)
-        return relative_entropy(rho, DensityMatrix.from_matrix(sigma, tol), tol)
+        return relative_entropy(rho, DensityMatrix.from_matrix(sigma, tol))
 
     try:
         params = from_density_matrix(rho, tol)

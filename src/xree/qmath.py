@@ -4,6 +4,14 @@ Eigendecomposition (LAPACK, through np.linalg.eigh), von Neumann and
 relative entropies in nats, partial transposition on the second qubit,
 and the binary entropy function. All operations are pure functions on
 immutable values and safe to call concurrently.
+
+The spectral cut-offs are module constants beside _HERMITICITY, the
+Hermiticity bound of DensityMatrix.from_matrix: _EIG_HERMITIAN_PRE, the
+input check of hermitian_eig; _EIGENVALUE_CLAMP, below which an
+eigenvalue adds nothing to tr(rho ln rho); and _SUPPORT_EIGENVALUE and
+_SUPPORT_LEAK, which decide when relative_entropy is infinite. They are
+not Tolerances fields because nothing sets them: ree.ree_from_css and
+the oracle read them from here.
 """
 
 from __future__ import annotations
@@ -19,6 +27,10 @@ from .errors import InvalidStateError, NumericalError
 DIM = 4
 LN2 = math.log(2.0)
 _HERMITICITY = 1e-12
+_EIG_HERMITIAN_PRE = 1e-10
+_EIGENVALUE_CLAMP = 1e-15
+_SUPPORT_EIGENVALUE = 1e-12
+_SUPPORT_LEAK = 1e-10
 
 
 def _as_matrix(m, stack: bool = False) -> np.ndarray:
@@ -53,7 +65,7 @@ class DensityMatrix:
         if tr_dev > tol.trace:
             raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
         a = 0.5 * (a + a.conj().T)
-        lo = hermitian_eig(a, tol).values[0]
+        lo = hermitian_eig(a).values[0]
         if lo < -tol.psd:
             raise InvalidStateError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
         a.setflags(write=False)
@@ -71,7 +83,7 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
+def hermitian_eig(m) -> EigenSystem:
     """Eigendecomposition of a 4x4 Hermitian matrix by LAPACK (np.linalg.eigh).
 
     The input is symmetrized as (m + m^dag)/2 first. A stack (n, 4, 4) is
@@ -80,13 +92,12 @@ def hermitian_eig(m, tol: Tolerances | None = None) -> EigenSystem:
     non-Hermitian member fails the whole stack. Raises NumericalError if
     LAPACK does not converge.
     """
-    tol = tol or default_tolerances()
     a = _as_matrix(m, stack=True)
     a_dag = np.swapaxes(a, -1, -2).conj()
     dev = float(np.abs(a - a_dag).max(initial=0.0))
-    if dev > tol.eig_hermitian_pre:
+    if dev > _EIG_HERMITIAN_PRE:
         raise InvalidStateError(
-            f"input is not Hermitian within {tol.eig_hermitian_pre:.1e}: "
+            f"input is not Hermitian within {_EIG_HERMITIAN_PRE:.1e}: "
             f"deviation {dev:.3e}"
         )
     try:
@@ -100,46 +111,35 @@ def _xlnx(x: float) -> float:
     return 0.0 if x <= 0.0 else x * math.log(x)
 
 
-def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances | None = None) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
-    tol = tol or default_tolerances()
-    eig = hermitian_eig(rho, tol)
     total = 0.0
-    for lam in eig.values:
-        if lam > tol.eigenvalue_clamp:
+    for lam in hermitian_eig(rho).values.tolist():
+        if lam > _EIGENVALUE_CLAMP:
             total -= lam * math.log(lam)
     return total
 
 
-def relative_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances | None = None
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr(rho ln rho - rho ln sigma) in nats.
 
     ln(sigma) is built on sigma's numerical support. If rho leaks outside
     that support the divergence is infinite and +inf is returned instead of
     raising.
     """
-    tol = tol or default_tolerances()
     rm = _as_matrix(rho)
-    return _relative_entropy_eig(
-        rm, hermitian_eig(rm, tol).values, hermitian_eig(sigma, tol), tol
-    )
+    return _relative_entropy_eig(rm, hermitian_eig(rm).values, hermitian_eig(sigma))
 
 
-def _relative_entropy_eig(
-    rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem, tol: Tolerances
-) -> float:
+def _relative_entropy_eig(rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem) -> float:
     """relative_entropy from rho's matrix and spectrum and sigma's eigensystem."""
-    tr_rho_ln_rho = sum(
-        _xlnx(lam) for lam in rho_values if lam > tol.eigenvalue_clamp
-    )
+    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > _EIGENVALUE_CLAMP)
     # <v_j|rho|v_j> for every eigenvector of sigma, from one product
     weights = (eig_s.vectors.conj().T @ rm @ eig_s.vectors).diagonal().real
     cross = 0.0
     for lam, weight in zip(eig_s.values, weights.tolist()):
-        if lam < tol.support_eigenvalue:
-            if weight >= tol.support_leak:
+        if lam < _SUPPORT_EIGENVALUE:
+            if weight >= _SUPPORT_LEAK:
                 return math.inf
         else:
             cross += weight * math.log(lam)
@@ -156,14 +156,13 @@ def partial_transpose(m) -> np.ndarray:
     return np.swapaxes(a.reshape(a.shape[:-2] + (2, 2, 2, 2)), -3, -1).reshape(a.shape)
 
 
-def min_eig_pt(rho: DensityMatrix, tol: Tolerances | None = None) -> float:
+def min_eig_pt(rho: DensityMatrix) -> float:
     """Smallest eigenvalue of the partial transpose.
 
     Negative iff the state is entangled (two-qubit PPT criterion); zero for
     edge states of the separable set.
     """
-    tol = tol or default_tolerances()
-    return float(hermitian_eig(partial_transpose(rho), tol).values[0])
+    return float(hermitian_eig(partial_transpose(rho)).values[0])
 
 
 def binary_entropy(p: float, tol: Tolerances | None = None) -> float:

@@ -49,7 +49,9 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from . import qmath
-from .qmath import EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy
+from .qmath import (
+    _EIGENVALUE_CLAMP, _SUPPORT_LEAK, EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy,
+)
 from .states import (
     XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
     is_entangled, to_density_matrix, x_state,
@@ -193,9 +195,7 @@ def css_residuals(
     return (res_a, res_b, res_c, res_d, res_e)
 
 
-def ree_from_css(
-    p: XStateParams, c: CssSolution, tol: Tolerances | None = None
-) -> float:
+def ree_from_css(p: XStateParams, c: CssSolution) -> float:
     """Relative entropy tr(rho ln rho - rho ln pi) from the parameters alone.
 
     The cross term is evaluated spectrally on the middle block: with
@@ -210,13 +210,12 @@ def ree_from_css(
     algebraically identical form
     (a2+a3)/2 ln(r2 r3 - r1 r4) + odd * ell/z is used instead.
     """
-    tol = tol or default_tolerances()
     a_plus, a_minus = input_spectrum_pair(p)
     tr_rho_ln_rho = _xlnx(p.a1) + _xlnx(p.a4) + _xlnx(a_plus) + _xlnx(max(a_minus, 0.0))
 
     cross = 0.0
     for pop, r, label in ((p.a1, c.r1, "a1 ln r1"), (p.a4, c.r4, "a4 ln r4")):
-        if pop > tol.eigenvalue_clamp:
+        if pop > _EIGENVALUE_CLAMP:
             if r <= 0.0:
                 raise LogDomainError(
                     f"term {label}: population {pop!r} outside CSS support"
@@ -242,7 +241,7 @@ def ree_from_css(
             (c_plus, m_plus, "c+ ln m+"),
             (c_minus, m_minus, "c- ln m-"),
         ):
-            if coeff > tol.support_leak:
+            if coeff > _SUPPORT_LEAK:
                 if m <= 0.0:
                     raise LogDomainError(
                         f"term {label}: weight {coeff!r} outside CSS support"
@@ -260,7 +259,7 @@ def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> 
     """
     try:
         residuals = css_residuals(css, p, tol)
-        ree = ree_from_css(p, css, tol)
+        ree = ree_from_css(p, css)
     except LogDomainError as exc:
         note = f"{branch} solution failed validation; CSS validation error: {exc}"
         return ReeResult(None, None, BRANCH_FAILURE, None, note)
@@ -727,7 +726,7 @@ def _validated(
     if n:
         stack = _family_matrices(pis + separable + rhos + pis, transposed=n)
         # looked up on the module, so a wrapper set on qmath sees the call
-        eig = qmath.hermitian_eig(stack, tol)
+        eig = qmath.hermitian_eig(stack)
         edges = eig.values[:n, 0].tolist()
     out = []
     for result, problems, slot in checks:
@@ -740,7 +739,7 @@ def _validated(
                 problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
             rho, pi = n + slot, n + k + slot
             sigma = EigenSystem(eig.values[pi], eig.vectors[pi])
-            dual = _relative_entropy_eig(stack[rho], eig.values[rho], sigma, tol)
+            dual = _relative_entropy_eig(stack[rho], eig.values[rho], sigma)
             if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
                 problems.append(
                     f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"

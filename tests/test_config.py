@@ -17,6 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MADE_CONSTANTS = (
     "hermiticity", "coherence_slack", "family_sparsity", "cos_phi_min", "entanglement_margin",
     "branch_zero", "branch_equal", "series_z_switch", "quadratic_sign", "oracle_support_mix",
+    "eig_hermitian_pre", "eigenvalue_clamp", "support_eigenvalue", "support_leak",
 )
 
 
@@ -98,4 +99,4 @@ def test_fields_made_constants_are_unknown(tmp_path):
     with pytest.raises(ValueError) as err:
         Tolerances.from_file(str(path))
     assert str(err.value) == "unknown tolerance fields: " + ", ".join(sorted(MADE_CONSTANTS))
-    assert len(dataclasses.fields(Tolerances)) == 15
+    assert len(dataclasses.fields(Tolerances)) == 11

@@ -1,5 +1,6 @@
 """Linear-algebra layer: eigensolver, entropies, partial transpose."""
 
+import inspect
 import math
 import struct
 import warnings
@@ -18,10 +19,10 @@ from xree import (
     relative_entropy,
     von_neumann_entropy,
 )
-from xree.config import default_tolerances
+from xree import qmath
 from xree.errors import InvalidStateError
 from xree.qmath import _relative_entropy_eig, _xlnx
-from xree.ree import compute_ree, css_to_density_matrix
+from xree.ree import compute_ree, css_to_density_matrix, ree_from_css
 from xree.states import RAINS_PARAMS, bell_ket, named_state, to_density_matrix, x_state
 
 from conftest import charpoly_eigenvalues, random_entangled_params
@@ -158,6 +159,10 @@ class TestVonNeumannEntropy:
         expected = -sum(v * math.log(v) for v in spectrum if v > 1e-15)
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
 
+    def test_returns_a_python_float(self):
+        # a float's repr enters JSON and diagnostics; np.float64's differs
+        assert type(von_neumann_entropy(named_state("vp", 0.5, 0.3, 0.2))) is float
+
     def test_range_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -199,16 +204,16 @@ class TestRelativeEntropy:
         assert np.max(np.abs(rho.matrix - sigma.matrix)) > 1e-8
 
 
-def loop_relative_entropy(rm, rho_values, eig_s, tol):
+def loop_relative_entropy(rm, rho_values, eig_s):
     """The spectral dual path with one product per eigenvector of sigma."""
-    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > tol.eigenvalue_clamp)
+    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > qmath._EIGENVALUE_CLAMP)
     cross = 0.0
     for j in range(4):
         lam = eig_s.values[j]
         vec = eig_s.vectors[:, j]
         weight = float(np.real(vec.conj() @ rm @ vec))
-        if lam < tol.support_eigenvalue:
-            if weight >= tol.support_leak:
+        if lam < qmath._SUPPORT_EIGENVALUE:
+            if weight >= qmath._SUPPORT_LEAK:
                 return math.inf
         else:
             cross += weight * math.log(lam)
@@ -219,12 +224,11 @@ class TestRelativeEntropyOneProduct:
     """The weights from one V^dag rho V product against the per-vector loop."""
 
     def assert_as_loop(self, rho, sigma):
-        tol = default_tolerances()
         rm = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
         rho_values = hermitian_eig(rm).values
         eig_s = hermitian_eig(sigma)
-        got = _relative_entropy_eig(rm, rho_values, eig_s, tol)
-        want = loop_relative_entropy(rm, rho_values, eig_s, tol)
+        got = _relative_entropy_eig(rm, rho_values, eig_s)
+        want = loop_relative_entropy(rm, rho_values, eig_s)
         # bit for bit, and of the same type: a float's repr enters diagnostics
         assert type(got) is type(want)
         assert struct.pack("<d", got) == struct.pack("<d", want)
@@ -249,7 +253,7 @@ class TestRelativeEntropyOneProduct:
         # skips them because rho has no weight there
         p = x_state(0.0, 0.6, 0.4, 0.0, 0.3)
         sigma = css_to_density_matrix(compute_ree(p).css)
-        assert np.sum(hermitian_eig(sigma).values < default_tolerances().support_eigenvalue) == 2
+        assert np.sum(hermitian_eig(sigma).values < qmath._SUPPORT_EIGENVALUE) == 2
         assert math.isfinite(self.assert_as_loop(to_density_matrix(p), sigma))
 
     def test_dense_random_pairs(self):
@@ -363,3 +367,16 @@ class TestBinaryEntropy:
     @given(st.floats(0.0, 1.0))
     def test_symmetry(self, p):
         assert binary_entropy(p) == binary_entropy(1.0 - p)
+
+
+def test_spectral_core_takes_no_tolerances():
+    # its cut-offs are qmath constants that nothing sets
+    core = (
+        qmath.hermitian_eig,
+        qmath.von_neumann_entropy,
+        qmath.relative_entropy,
+        qmath.min_eig_pt,
+        qmath._relative_entropy_eig,
+        ree_from_css,
+    )
+    assert [f.__name__ for f in core if "tol" in inspect.signature(f).parameters] == []

@@ -287,9 +287,9 @@ class TestValidationMatrices:
         stacks = []
         forward = qmath.hermitian_eig
 
-        def capturing(m, tol=None):
+        def capturing(m):
             stacks.append(np.array(m))
-            return forward(m, tol)
+            return forward(m)
 
         monkeypatch.setattr(qmath, "hermitian_eig", capturing)
         monkeypatch.setattr(ree_module, "CHUNK", 32)  # so the states span three chunks
