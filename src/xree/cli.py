@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 invalid input, 2 ansatz failure (compute only).
 All REE values are emitted in nats; --bits adds a display conversion.
-Input and output documents are JSON validated against the schema files
-shipped under xree/schemas; scan output is CSV with a fixed header.
+Input documents are JSON validated against the schema files shipped
+under xree/schemas; output documents are JSON that the tests check
+against the output schemas there. scan output is CSV with a fixed header.
 """
 
 from __future__ import annotations

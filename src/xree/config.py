@@ -1,14 +1,15 @@
 """Numerical tolerances that callers may set.
 
-The frozen dataclass holds the 11 thresholds that something outside
-their reading module sets, and a JSON file named by the REE_TOL_OVERRIDE
-environment variable may override any of them. The tests set the
-validation bounds (residual_validation, edge_validation,
-dual_path_validation, y_edge, simplex, psd, trace) and the solver bounds
-(sign_residual, root_bisect_tol, root_value_cap) one at a time; the
-benchmark sets root_grid_points. A threshold nothing else sets is a
-constant of the one module that reads it, and an override file that
-names one exits as an unknown field.
+The frozen dataclass holds the 9 thresholds that something outside their
+reading module sets, and a JSON file named by the REE_TOL_OVERRIDE
+environment variable may override any of them. The tests pass them to the
+compute path (compute_ree, compute_ree_many, solve_theorem1/2/3,
+css_residuals, css_to_x_params, x_state) as tol, setting the validation
+and solver bounds one at a time; the benchmark sets root_grid_points. Any
+other reader calls default_tolerances(). simplex, the slack of input
+weights, is read in three modules. A threshold nothing sets is a constant
+of the one module that reads it, and an override file naming one exits
+as an unknown field.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ _ENV_VAR = "REE_TOL_OVERRIDE"
 
 @dataclass(frozen=True)
 class Tolerances:
-    # state validation, set by the tests
-    trace: float = 1e-12
-    psd: float = 1e-10
+    # slack of input populations and weights
     simplex: float = 1e-12
 
     # solver bounds, set by the tests; the benchmark sets root_grid_points

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, NotInFamilyError
-from .qmath import _EIGENVALUE_CLAMP, DensityMatrix, relative_entropy
+from .qmath import _EIGENVALUE_CLAMP, _PSD, DensityMatrix, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
 from .states import (
     _X_PATTERN,
@@ -37,8 +36,9 @@ _SUPPORT_MIX = 1e-9
 # Nelder-Mead fatol, and the least gain that starts another run on a seed
 _CONVERGENCE_TOL = 1e-10
 _NELDER_MEAD = {"xatol": 1e-9, "fatol": _CONVERGENCE_TOL}
-# rows per objective call; a default oracle call's 891 first-round rows peak
-# at 0.7 MB of live arrays in blocks of 32, 1.2 MB in blocks of 128
+# rows per objective call, after a round is copied into one array; a default
+# oracle_validate of Rains' state peaks at 1.36 MB under tracemalloc in
+# blocks of 32, 1.78 MB in blocks of 128
 _BLOCK_ROWS = 32
 _EYE_MIX = _SUPPORT_MIX * np.eye(4) / 4.0
 _PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
@@ -135,14 +135,11 @@ class SimplexRuns:
 
 def _values(fun, stacks) -> np.ndarray:
     """fun over the rows of all stacks in order, in calls of at most _BLOCK_ROWS rows."""
-    # halved by stack, a lone stack by rows, so no call copies a whole round
-    stacks = list(stacks)
-    if sum(map(len, stacks)) <= _BLOCK_ROWS:
-        return fun(np.concatenate(stacks))
-    if len(stacks) == 1:
-        stacks = [stacks[0][:_BLOCK_ROWS], stacks[0][_BLOCK_ROWS:]]
-    half = len(stacks) // 2
-    return np.concatenate([_values(fun, stacks[:half]), _values(fun, stacks[half:])])
+    rows = np.concatenate(list(stacks))
+    if len(rows) <= _BLOCK_ROWS:
+        return fun(rows)
+    blocks = range(0, len(rows), _BLOCK_ROWS)
+    return np.concatenate([fun(rows[i : i + _BLOCK_ROWS]) for i in blocks])
 
 
 def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
@@ -257,9 +254,7 @@ def product_mixture_matrix(
     return (weights[..., None] * kets).swapaxes(-1, -2) @ kets.conj()
 
 
-def separable_x_decomposition(
-    p: XStateParams, tol: Tolerances | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def separable_x_decomposition(p: XStateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit product decomposition of a separable (PPT) family member.
 
     The coherent part is carried by four equal-weight product states whose
@@ -268,10 +263,9 @@ def separable_x_decomposition(
     d <= sqrt(a1 a4) (PPT), which every closed-form CSS satisfies with
     equality.
     """
-    tol = tol or default_tolerances()
     r1, r2, r3, r4 = p.diag()
     y = p.d
-    if y * y > r1 * r4 + tol.psd:
+    if y * y > r1 * r4 + _PSD:
         raise InvalidStateError(
             "state is entangled (d^2 > a1 a4); no product decomposition exists"
         )
@@ -375,15 +369,14 @@ def _objective_many(x: np.ndarray, rm: np.ndarray, tr_rho_ln_rho: float) -> np.n
     return tr_rho_ln_rho - (log_vals[:, None, :] @ quad[:, :, None])[:, 0, 0]
 
 
-def _deterministic_mixtures(rho, params, closed, tol):
+def _deterministic_mixtures(rho, params, closed):
     """Warm-start mixtures: closed-form CSS, decohered diagonal, PPT projection.
 
     params is rho as a family member, or None when rho is not in the family.
     """
     mixtures = []
     if closed is not None and closed.css is not None:
-        css_params = css_to_x_params(closed.css, tol)
-        mixtures.append(separable_x_decomposition(css_params, tol))
+        mixtures.append(separable_x_decomposition(css_to_x_params(closed.css)))
     diag = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
     diag = diag / diag.sum()
     keep = diag > 0.0
@@ -392,9 +385,7 @@ def _deterministic_mixtures(rho, params, closed, tol):
     if params is not None and params.d > 0.0:
         projected = min(params.d, math.sqrt(params.a1 * params.a4))
         mixtures.append(
-            separable_x_decomposition(
-                x_state(*params.diag(), d=projected, phi=params.phi, tol=tol), tol
-            )
+            separable_x_decomposition(x_state(*params.diag(), d=projected, phi=params.phi))
         )
     return mixtures
 
@@ -403,7 +394,6 @@ def oracle_ree(
     rho: DensityMatrix,
     cfg: OracleConfig | None = None,
     closed: ReeResult | None = None,
-    tol: Tolerances | None = None,
 ) -> OracleResult:
     """Minimize tr(rho ln rho - rho ln sigma) over explicit product mixtures.
 
@@ -415,7 +405,6 @@ def oracle_ree(
     deterministic given the config (seeded RNG, fixed seed order).
     """
     cfg = cfg or OracleConfig()
-    tol = tol or default_tolerances()
     k = cfg.num_product_terms
     rm = rho.matrix
     eigvals = np.linalg.eigvalsh(rm)
@@ -426,16 +415,16 @@ def oracle_ree(
 
     def true_value(w, ka, kb) -> float:
         sigma = product_mixture_matrix(w, ka, kb)
-        return relative_entropy(rho, DensityMatrix.from_matrix(sigma, tol))
+        return relative_entropy(rho, DensityMatrix.from_matrix(sigma))
 
     try:
-        params = from_density_matrix(rho, tol)
+        params = from_density_matrix(rho)
     except NotInFamilyError:
         params = None
     if closed is None and params is not None:
-        closed = compute_ree(params, tol)
+        closed = compute_ree(params)
     rng = np.random.default_rng(cfg.rng_seed)
-    mixtures = _deterministic_mixtures(rho, params, closed, tol)
+    mixtures = _deterministic_mixtures(rho, params, closed)
     starts = [_encode(*_pad_mixture(*m, k)) for m in mixtures]
     for _ in range(cfg.restarts):
         logits = rng.normal(0.0, 1.0, k)
@@ -476,7 +465,7 @@ def oracle_ree(
             best = (end_val, end_mix, index, nfev, bool(succeeded[index]))
 
     value, (w, ka, kb), index, nfev, converged = best
-    sigma = DensityMatrix.from_matrix(product_mixture_matrix(w, ka, kb), tol)
+    sigma = DensityMatrix.from_matrix(product_mixture_matrix(w, ka, kb))
     return OracleResult(
         ree_upper_bound=value,
         sigma=sigma,
@@ -516,7 +505,6 @@ def oracle_validate(
     p: XStateParams,
     closed: ReeResult,
     cfg: OracleConfig | None = None,
-    tol: Tolerances | None = None,
 ) -> OracleValidation:
     """Cross-check a closed-form result against the brute-force bound.
 
@@ -524,9 +512,8 @@ def oracle_validate(
     the oracle's best separable state: how far it sits from the family's
     sparsity pattern and how large its transverse Bloch components are.
     """
-    tol = tol or default_tolerances()
-    rho = to_density_matrix(p, tol)
-    result = oracle_ree(rho, cfg, closed=closed, tol=tol)
+    rho = to_density_matrix(p)
+    result = oracle_ree(rho, cfg, closed=closed)
     off, bloch = structure_fingerprint(result.sigma)
     if closed.branch == BRANCH_FAILURE or closed.ree is None:
         return OracleValidation(result, None, None, off, bloch)

@@ -5,13 +5,14 @@ relative entropies in nats, partial transposition on the second qubit,
 and the binary entropy function. All operations are pure functions on
 immutable values and safe to call concurrently.
 
-The spectral cut-offs are module constants beside _HERMITICITY, the
-Hermiticity bound of DensityMatrix.from_matrix: _EIG_HERMITIAN_PRE, the
-input check of hermitian_eig; _EIGENVALUE_CLAMP, below which an
-eigenvalue adds nothing to tr(rho ln rho); and _SUPPORT_EIGENVALUE and
-_SUPPORT_LEAK, which decide when relative_entropy is infinite. They are
-not Tolerances fields because nothing sets them: ree.ree_from_css and
-the oracle read them from here.
+The thresholds other than binary_entropy's simplex are module constants:
+_HERMITICITY, _TRACE and _PSD, the bounds of DensityMatrix.from_matrix;
+_EIG_HERMITIAN_PRE, the input check of hermitian_eig; _EIGENVALUE_CLAMP,
+below which an eigenvalue adds nothing to tr(rho ln rho); and
+_SUPPORT_EIGENVALUE and _SUPPORT_LEAK, which decide when
+relative_entropy is infinite. They are not Tolerances fields because
+nothing sets them: states, ree.ree_from_css and the oracle read them
+from here.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, default_tolerances
+from .config import default_tolerances
 from .errors import InvalidStateError, NumericalError
 
 DIM = 4
 LN2 = math.log(2.0)
 _HERMITICITY = 1e-12
+_TRACE = 1e-12
+_PSD = 1e-10
 _EIG_HERMITIAN_PRE = 1e-10
 _EIGENVALUE_CLAMP = 1e-15
 _SUPPORT_EIGENVALUE = 1e-12
@@ -53,8 +56,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     @classmethod
-    def from_matrix(cls, m, tol: Tolerances | None = None) -> "DensityMatrix":
-        tol = tol or default_tolerances()
+    def from_matrix(cls, m) -> "DensityMatrix":
         a = _as_matrix(m)
         herm_dev = float(np.max(np.abs(a - a.conj().T)))
         if herm_dev > _HERMITICITY:
@@ -62,11 +64,11 @@ class DensityMatrix:
                 f"matrix is not Hermitian: max |m - m^dag| = {herm_dev:.3e}"
             )
         tr_dev = abs(a.trace() - 1.0)
-        if tr_dev > tol.trace:
+        if tr_dev > _TRACE:
             raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
         a = 0.5 * (a + a.conj().T)
         lo = hermitian_eig(a).values[0]
-        if lo < -tol.psd:
+        if lo < -_PSD:
             raise InvalidStateError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
         a.setflags(write=False)
         return cls(a)
@@ -165,15 +167,15 @@ def min_eig_pt(rho: DensityMatrix) -> float:
     return float(hermitian_eig(partial_transpose(rho)).values[0])
 
 
-def binary_entropy(p: float, tol: Tolerances | None = None) -> float:
+def binary_entropy(p: float) -> float:
     """H(p) = -p ln p - (1-p) ln(1-p) in nats.
 
     Evaluated through max(p, 1-p) so that H(p) == H(1-p) holds bit-exactly
     for every float p (the larger element of the pair is the same double in
     both calls).
     """
-    tol = tol or default_tolerances()
-    if p < -tol.simplex or p > 1.0 + tol.simplex:
+    simplex = default_tolerances().simplex
+    if p < -simplex or p > 1.0 + simplex:
         raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
     p = min(1.0, max(0.0, p))
     big = max(p, 1.0 - p)

@@ -114,8 +114,8 @@ def css_to_x_params(c: CssSolution, tol: Tolerances | None = None) -> XStatePara
     return x_state(c.r1, c.r2, c.r3, c.r4, c.y, c.phi, tol=tol)
 
 
-def css_to_density_matrix(c: CssSolution, tol: Tolerances | None = None):
-    return to_density_matrix(css_to_x_params(c, tol), tol)
+def css_to_density_matrix(c: CssSolution):
+    return to_density_matrix(css_to_x_params(c))
 
 
 def _atanh_excess(tau: float) -> float:
@@ -566,16 +566,13 @@ def _t3_result(
 
 
 def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeResult]:
-    """solve_theorem3 of each state, all their brackets in one _bisect_t3 call.
+    """solve_theorem3 of each theorem3 state, all brackets in one _bisect_t3 call.
 
     The polished roots of all states then pass one array pass of the root
     filters: a root is kept when |f| <= root_value_cap (a nan marks a
     failed bisection, a large value a pole), its candidate is feasible, it
     meets the sign side condition and its middle block is PSD.
     """
-    for p in ps:
-        if not is_entangled(p):
-            raise WrongBranchError("theorem3 requires an entangled input")
     table = _t3_table(ps)
     a, b, fa, sign, owner = _t3_grid(table, tol)
     columns = table[:, owner]
@@ -614,6 +611,8 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     No surviving root means no root was found on the grid, and the result
     is ansatz_failure.
     """
+    if (branch := _branch_of(p)) != BRANCH_THEOREM3:
+        raise WrongBranchError(f"theorem3 does not apply: {p!r} is {branch}")
     return _solve_theorem3_many([p], tol or default_tolerances())[0]
 
 
@@ -650,7 +649,7 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     tol = tol or default_tolerances()
     params = list(params)
     for p in params:
-        _check_state(p, tol)
+        _check_state(p)
     results: list[ReeResult] = []
     for start in range(0, len(params), CHUNK):
         results += _compute_chunk(params[start : start + CHUNK], tol)
@@ -766,9 +765,7 @@ def _validated(
     return out
 
 
-def closed_form_family_ree(
-    family: str, weights, tol: Tolerances | None = None
-) -> float:
+def closed_form_family_ree(family: str, weights) -> float:
     """Reference REE formulas for the three named separable-boundary families.
 
     bell_diagonal (largest weight on the third Bell state):
@@ -778,25 +775,25 @@ def closed_form_family_ree(
     horodecki:
         l1 ln l1 + l2 ln l2 + l3 ln l3 + 2 H(l1/2 + l2) - l1 ln 2
     """
-    tol = tol or default_tolerances()
+    simplex = default_tolerances().simplex
     weights = tuple(float(w) for w in weights)
     name = family.lower()
-    _check_simplex(weights, tol, name)
+    _check_simplex(weights, simplex, name)
     if name == "bell_diagonal":
         if len(weights) != 4:
             raise InvalidStateError("bell_diagonal requires 4 weights")
         l3 = weights[2]
-        if l3 < max(weights) - tol.simplex:
+        if l3 < max(weights) - simplex:
             raise InvalidStateError(
                 "bell_diagonal closed form requires the third weight to be maximal"
             )
-        return math.log(2.0) - binary_entropy(l3, tol)
+        return math.log(2.0) - binary_entropy(l3)
     if name == "vp":
         if len(weights) != 3:
             raise InvalidStateError("vp requires 3 weights")
         l1, l2, l3 = weights
         lam = 0.5 * (1.0 + math.sqrt(l1 * l1 + (l2 - l3) ** 2))
-        return binary_entropy(0.5 * l1 + l2, tol) - binary_entropy(min(lam, 1.0), tol)
+        return binary_entropy(0.5 * l1 + l2) - binary_entropy(min(lam, 1.0))
     if name == "horodecki":
         if len(weights) != 3:
             raise InvalidStateError("horodecki requires 3 weights")
@@ -805,7 +802,7 @@ def closed_form_family_ree(
             _xlnx(l1)
             + _xlnx(l2)
             + _xlnx(l3)
-            + 2.0 * binary_entropy(0.5 * l1 + l2, tol)
+            + 2.0 * binary_entropy(0.5 * l1 + l2)
             - l1 * math.log(2.0)
         )
     raise InvalidStateError(f"no closed form for family {family!r}")

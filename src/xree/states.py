@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, NotInFamilyError, SingularPhaseError
-from .qmath import DensityMatrix, partial_transpose
+from .qmath import _PSD, _TRACE, DensityMatrix, partial_transpose
 
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)}
 _HALF = complex(0.5, 0.0)
@@ -108,7 +108,7 @@ def x_state(
     if d < -tol.simplex:
         raise InvalidStateError(f"coherence magnitude {d!r} is negative")
     p = XStateParams(*(max(0.0, a) for a in pops), max(0.0, d), phi)
-    _check_state(p, tol)
+    _check_state(p)
     return p
 
 
@@ -123,7 +123,7 @@ def input_spectrum_pair(p: XStateParams) -> tuple[float, float]:
     return (half + 0.5 * disc, half - 0.5 * disc)
 
 
-def _check_state(p: XStateParams, tol: Tolerances) -> None:
+def _check_state(p: XStateParams) -> None:
     """The one validity rule for a family member.
 
     Rejects d^2 > a2 a3 + _COHERENCE_SLACK, and applies the trace and PSD
@@ -136,14 +136,14 @@ def _check_state(p: XStateParams, tol: Tolerances) -> None:
             f"{math.sqrt(max(p.a2 * p.a3, 0.0))!r}; matrix would not be PSD"
         )
     tr_dev = abs(p.a1 + p.a2 + p.a3 + p.a4 - 1.0)
-    if tr_dev > tol.trace:
+    if tr_dev > _TRACE:
         raise InvalidStateError(f"trace differs from 1 by {tr_dev:.3e}")
     lo = min(p.a1, p.a4, input_spectrum_pair(p)[1])
-    if lo < -tol.psd:
+    if lo < -_PSD:
         raise InvalidStateError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
 
 
-def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XStateParams:
+def x_state_from_bloch(b: BlochZParams) -> XStateParams:
     """Convert Bloch/correlation parameters to population form.
 
     a1 = (1+r+s+g_z)/4   a2 = (1+r-s-g_z)/4
@@ -152,7 +152,7 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
     Negative populations within tolerance are clamped to zero and the
     remainder renormalized.
     """
-    tol = tol or default_tolerances()
+    simplex = default_tolerances().simplex
     _check_finite((b.r, b.s, b.g_x, b.g_z, b.phi), "Bloch parameters")
     if abs(math.cos(b.phi)) < _COS_PHI_MIN:
         raise SingularPhaseError(
@@ -166,18 +166,18 @@ def x_state_from_bloch(b: BlochZParams, tol: Tolerances | None = None) -> XState
         (1.0 - b.r - b.s + b.g_z) / 4.0,
     ]
     for a in pops:
-        if a < -tol.simplex:
+        if a < -simplex:
             raise InvalidStateError(f"Bloch parameters give population {a!r} < 0")
     pops = [max(0.0, a) for a in pops]
     total = sum(pops)
     pops = [a / total for a in pops]
     d = b.g_x / (2.0 * math.cos(b.phi))
-    if d < -tol.simplex:
+    if d < -simplex:
         raise InvalidStateError(
             f"g_x/(2 cos phi) = {d!r} is negative; shift phi by pi so the "
             "coherence magnitude is nonnegative"
         )
-    return x_state(*pops, d=max(0.0, d), phi=b.phi, tol=tol)
+    return x_state(*pops, d=max(0.0, d), phi=b.phi)
 
 
 def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
@@ -209,22 +209,20 @@ def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(-1, 4, 4)
 
 
-def to_density_matrix(p: XStateParams, tol: Tolerances | None = None) -> DensityMatrix:
+def to_density_matrix(p: XStateParams) -> DensityMatrix:
     """Materialize the 4x4 matrix of a family member.
 
     The state must pass the one validity rule, _check_state; then
     _family_matrices builds the matrix, read-only. No eigendecomposition
     runs.
     """
-    _check_state(p, tol or default_tolerances())
+    _check_state(p)
     m = _family_matrices([p])[0]
     m.setflags(write=False)
     return DensityMatrix(m)
 
 
-def from_density_matrix(
-    rho: DensityMatrix, tol: Tolerances | None = None
-) -> XStateParams:
+def from_density_matrix(rho: DensityMatrix) -> XStateParams:
     """Read parameters off a density matrix in the family.
 
     Rejects matrices with any entry of magnitude >= _FAMILY_SPARSITY
@@ -233,7 +231,6 @@ def from_density_matrix(
     set, which is how general Bell-diagonal states with unequal first two
     weights get rejected.
     """
-    tol = tol or default_tolerances()
     m = rho.matrix
     offending = []
     for i in range(4):
@@ -252,7 +249,7 @@ def from_density_matrix(
     coh = complex(m[1, 2])
     d = abs(coh)
     phi = cmath.phase(coh) if d > 0.0 else 0.0
-    return x_state(*(float(m[i, i].real) for i in range(4)), d, phi, tol=tol)
+    return x_state(*(float(m[i, i].real) for i in range(4)), d, phi)
 
 
 def is_entangled(p: XStateParams) -> bool:
@@ -290,12 +287,12 @@ def _basis_projector(index: int) -> np.ndarray:
     return m
 
 
-def _check_simplex(weights, tol: Tolerances, label: str) -> None:
+def _check_simplex(weights, simplex: float, label: str) -> None:
     _check_finite(weights, label)
-    if any(w < -tol.simplex for w in weights):
+    if any(w < -simplex for w in weights):
         raise InvalidStateError(f"{label}: negative weight in {tuple(weights)}")
     total = sum(weights)
-    if abs(total - 1.0) > tol.simplex:
+    if abs(total - 1.0) > simplex:
         raise InvalidStateError(f"{label}: weights sum to {total!r}, not 1")
 
 
@@ -328,7 +325,7 @@ _MIXTURES = {
 }
 
 
-def named_state(family: str, *params: float, tol: Tolerances | None = None) -> DensityMatrix:
+def named_state(family: str, *params: float) -> DensityMatrix:
     """Construct one of the reference states by name.
 
     Families and their parameters:
@@ -343,32 +340,32 @@ def named_state(family: str, *params: float, tol: Tolerances | None = None) -> D
                                          p B3 + q1 |01> + q2 |10> + q3 |00> + q4 |11>
       rains()                            the fixed transcendental example state
     """
-    tol = tol or default_tolerances()
+    simplex = default_tolerances().simplex
     name = family.lower()
     if name == "rains":
         if params:
             raise InvalidStateError("rains() takes no parameters")
-        return to_density_matrix(RAINS_PARAMS, tol)
+        return to_density_matrix(RAINS_PARAMS)
     if name in _MIXTURES:
         arity, matrices = _MIXTURES[name]
         if len(params) != len(matrices):
             raise InvalidStateError(f"{name} requires {arity}")
-        _check_simplex(params, tol, name)
+        _check_simplex(params, simplex, name)
         m = params[0] * matrices[0]
         for w, term in zip(params[1:], matrices[1:]):
             m = m + w * term
-        return DensityMatrix.from_matrix(m, tol)
+        return DensityMatrix.from_matrix(m)
     if name == "theorem1_example":
         if len(params) != 5:
             raise InvalidStateError("theorem1_example requires (p, alpha, beta, q1, q2)")
         p, alpha, beta, q1, q2 = params
-        _check_simplex((p, q1, q2), tol, "theorem1_example")
+        _check_simplex((p, q1, q2), simplex, "theorem1_example")
         norm = alpha * alpha + beta * beta
-        if abs(norm - 1.0) > tol.simplex:
+        if abs(norm - 1.0) > simplex:
             raise InvalidStateError(
                 f"theorem1_example: alpha^2 + beta^2 = {norm!r}, not 1"
             )
         psi = np.array([0.0, alpha, beta, 0.0], dtype=complex)
         m = p * _projector(psi) + q1 * _basis_projector(1) + q2 * _basis_projector(2)
-        return DensityMatrix.from_matrix(m, tol)
+        return DensityMatrix.from_matrix(m)
     raise InvalidStateError(f"unknown state family {family!r}")

@@ -12,6 +12,7 @@ from xree import (
     BRANCH_FAILURE,
     BRANCH_THEOREM3,
     OracleConfig,
+    closed_form_family_ree,
     compute_ree,
     css_to_x_params,
     from_density_matrix,
@@ -25,7 +26,7 @@ from xree import (
     to_density_matrix,
     x_state,
 )
-from xree.errors import InvalidStateError
+from xree.errors import InvalidStateError, NotInFamilyError
 from xree.oracle import (
     _BLOCK_ROWS,
     _NELDER_MEAD,
@@ -171,6 +172,18 @@ class TestOracleRee:
         result = oracle_ree(to_density_matrix(RAINS_PARAMS), FAST)
         direct = relative_entropy(to_density_matrix(RAINS_PARAMS), result.sigma)
         assert result.ree_upper_bound == pytest.approx(direct, abs=1e-12)
+
+    def test_state_outside_the_family(self):
+        # unequal first two Bell weights put weight on the (0, 3) corner, so
+        # there is no closed form to seed the search with
+        weights = (0.1, 0.2, 0.6, 0.1)
+        rho = named_state("bell_diagonal", *weights)
+        with pytest.raises(NotInFamilyError):
+            from_density_matrix(rho)
+        a = oracle_ree(rho, FAST)
+        assert a.ree_upper_bound >= closed_form_family_ree("bell_diagonal", weights) - 1e-12
+        assert min_eig_pt(a.sigma) >= -1e-9
+        assert oracle_ree(rho, FAST).sigma.matrix.tobytes() == a.sigma.matrix.tobytes()
 
     def test_min_terms_enforced(self):
         with pytest.raises(Exception):

@@ -395,7 +395,11 @@ class TestRouting:
         }
 
     def test_solvers_reject_exactly_the_other_branches(self):
-        solvers = ((solve_theorem1, BRANCH_THEOREM1), (solve_theorem2, BRANCH_THEOREM2))
+        solvers = (
+            (solve_theorem1, BRANCH_THEOREM1),
+            (solve_theorem2, BRANCH_THEOREM2),
+            (solve_theorem3, BRANCH_THEOREM3),
+        )
         for p, branch in self._draws() + _threshold_states():
             for solver, own in solvers:
                 if branch == own:
