@@ -1,13 +1,6 @@
 """REE and closest separable states for two-qubit X-like states."""
 
 from .config import Tolerances, default_tolerances
-from .oracle import (
-    OracleConfig,
-    OracleResult,
-    OracleValidation,
-    oracle_ree,
-    oracle_validate,
-)
 from .qmath import (
     DensityMatrix,
     EigenSystem,
@@ -51,6 +44,16 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+_ORACLE_API = {"OracleConfig", "OracleResult", "OracleValidation", "oracle_ree", "oracle_validate"}
+
+
+def __getattr__(name: str):
+    """xree.oracle and its names load on first use: computes and scans never run it."""
+    if name == "oracle" or name in _ORACLE_API:
+        import xree.oracle as oracle  # the relative form would ask this hook again
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BlochZParams",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .config import default_tolerances
 from .errors import InvalidStateError, XreeError
-from .oracle import OracleConfig, OracleValidation, oracle_validate
 from .qmath import DensityMatrix, LN2, min_eig_pt, relative_entropy
 from .ree import (
     BRANCH_FAILURE,
@@ -246,16 +245,17 @@ def _state_from_args(args) -> XStateParams:
     return _parse_family_flag(args.family)
 
 
-def _oracle_config_from_args(args) -> OracleConfig:
-    return OracleConfig(
+def _oracle_document(args, params: XStateParams, closed: ReeResult) -> dict:
+    """Run the oracle on params with the flags' config and report it against closed."""
+    from .oracle import OracleConfig, oracle_validate  # only the oracle paths load it
+
+    cfg = OracleConfig(
         num_product_terms=args.terms,
         restarts=args.restarts,
         max_iterations=args.iterations,
         rng_seed=args.seed,
     )
-
-
-def _oracle_document(val: OracleValidation, cfg: OracleConfig, closed: ReeResult, bits: bool) -> dict:
+    val = oracle_validate(params, closed, cfg)
     res = val.oracle
     doc = {
         "ree_upper_bound": float(res.ree_upper_bound),
@@ -280,7 +280,7 @@ def _oracle_document(val: OracleValidation, cfg: OracleConfig, closed: ReeResult
         },
         "abs_difference": val.abs_difference,
     }
-    if bits:
+    if args.bits:
         doc["ree_upper_bound_bits"] = float(res.ree_upper_bound / LN2)
     return doc
 
@@ -314,19 +314,14 @@ def cmd_compute(args) -> int:
         doc["css"] = dataclasses.asdict(result.css)
         doc["css_matrix"] = _matrix_to_pairs(css_to_density_matrix(result.css).matrix)
     if args.oracle:
-        cfg = _oracle_config_from_args(args)
-        val = oracle_validate(params, result, cfg)
-        doc["oracle"] = _oracle_document(val, cfg, result, args.bits)
+        doc["oracle"] = _oracle_document(args, params, result)
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_ANSATZ_FAILURE if result.branch == BRANCH_FAILURE else EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     params = _state_from_args(args)
-    cfg = _oracle_config_from_args(args)
-    closed = compute_ree(params)
-    val = oracle_validate(params, closed, cfg)
-    doc = _oracle_document(val, cfg, closed, args.bits)
+    doc = _oracle_document(args, params, compute_ree(params))
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

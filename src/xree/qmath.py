@@ -135,11 +135,16 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _relative_entropy_eig(rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem) -> float:
     """relative_entropy from rho's matrix and spectrum and sigma's eigensystem."""
-    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > _EIGENVALUE_CLAMP)
     # <v_j|rho|v_j> for every eigenvector of sigma, from one product
     weights = (eig_s.vectors.conj().T @ rm @ eig_s.vectors).diagonal().real
+    return _relative_entropy_weights(rho_values, eig_s.values, weights)
+
+
+def _relative_entropy_weights(rho_values, sigma_values, weights: np.ndarray) -> float:
+    """relative_entropy from both spectra and the weights <v_j|rho|v_j> of sigma's vectors."""
+    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > _EIGENVALUE_CLAMP)
     cross = 0.0
-    for lam, weight in zip(eig_s.values, weights.tolist()):
+    for lam, weight in zip(sigma_values, weights.tolist()):
         if lam < _SUPPORT_EIGENVALUE:
             if weight >= _SUPPORT_LEAK:
                 return math.inf

@@ -27,15 +27,14 @@ branch was found on the grid, the result is flagged as ansatz_failure.
 compute_ree_many takes a list of states and compute_ree is its one-state
 call. The list runs CHUNK states at a time. Validity checks, dispatch and
 the theorem1/2 solvers run state by state. A chunk's Theorem 3 states
-are read once into one table, and its root grids run a few states per
-array pass: a (B, G) mask of the points feasible in r1 alone, then one
-reduction call on those points only. The chunk's brackets are bisected
+are read once into one table. A strided probe of feasibility in r1 alone
+finds the window of each state's root grid, and the reduction is valued
+there only, many states per array pass. The chunk's brackets are bisected
 together, one reduction call per level, and its roots pass the root
 filters in one array pass; only the scoring of each state's surviving
-roots runs state by state. The chunk's
-validation builds every matrix it needs, partial transposes included, in
-one stack and decomposes it in one eigendecomposition. Each result is
-bit for bit what the state gives alone.
+roots runs state by state. The chunk's validation builds every matrix it
+needs, partial transposes included, in one stack and decomposes it in one
+eigendecomposition. Each result is bit for bit what the state gives alone.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from . import qmath
 from .qmath import (
-    _EIGENVALUE_CLAMP, _SUPPORT_LEAK, EigenSystem, _relative_entropy_eig, _xlnx, binary_entropy,
+    _EIGENVALUE_CLAMP, _SUPPORT_LEAK, _relative_entropy_weights, _xlnx, binary_entropy,
 )
 from .states import (
     XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
@@ -348,8 +347,8 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 class _T3Constants(NamedTuple):
     """The rows of a _t3_table: each state's numbers in the reduction.
 
-    Each field holds one entry per state, per grid row (B, 1), or per grid
-    point or bracket (K,). lo and hi are the ends of each state's r1 grid;
+    Each field holds one entry per state, per window row (B, 1), or per
+    bracket (K,). lo and hi are the ends of each state's r1 grid;
     the interval is empty when hi <= lo.
     """
 
@@ -403,9 +402,9 @@ def _t3_candidates(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[n
 
     r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and the
     columns c broadcast, with one state per entry of r1. The root grid
-    passes its K feasible points as r1 (K,) with sign (2, 1), for one row
-    per branch; the bisection and the root filters pass r1 and sign (K,),
-    one entry per bracket. r4 and y take the shape of r1.
+    passes B windows as r1 (B, W) with sign (2, 1, 1), one block per
+    branch; the bisection and the root filters pass r1 and sign (K,), one
+    entry per bracket. r4 and y take the shape of r1.
     """
     r4, y, gamma, feasible = _t3_feasible(r1, c)
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
@@ -420,8 +419,8 @@ def _t3_equation(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> np.ndarra
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    r1, sign and c broadcast as in _t3_candidates: (K,) with (2, 1) or (K,)
-    with (K,); f has their common shape.
+    r1, sign and c broadcast as in _t3_candidates: (B, W) with (2, 1, 1)
+    or (K,) with (K,); f has their common shape.
     """
     return _t3_reduction(r1, c, *_t3_candidates(r1, sign, c))
 
@@ -479,9 +478,10 @@ def _bisect_t3(
     return 0.5 * (a + b)
 
 
-# grid points of one array pass of the Theorem 3 root grid; a pass holds
-# this many over root_grid_points states, at least one (4 at the default)
-GRID_BLOCK_POINTS = 8000
+# _t3_grid probes every _PROBE_STRIDE-th grid point; one array pass of it values at most
+# GRID_BLOCK_POINTS reduction points, both signs counted, or one state (17 on the baseline)
+_PROBE_STRIDE = 16
+GRID_BLOCK_POINTS = 16000
 
 
 def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
@@ -489,44 +489,64 @@ def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
 
     table is the _t3_table of the states, one column per state; owner is
     the state of each bracket. A state's grid, with both sign branches on
-    it, is linspace(lo, hi, root_grid_points) on its lo and hi. A bracket
-    is a cell of one grid row with finite values at both ends and a sign
-    change or a zero at its left end; a zero-width bracket [r, r] is not
-    bisected and returns its root r. The brackets come out by state, then
-    sign +1 before -1, then r1 ascending.
+    it, is linspace(lo, hi, n) on its lo and hi, n = root_grid_points:
+    j * step + lo with step = (hi - lo) / (n - 1), and hi at j = n - 1. On
+    a row with hi > lo, hi - lo >= ulp(1e-12), so step is never zero and
+    linspace does not take its denormal path. A bracket is a cell of one
+    grid row with finite values at both ends and a sign change or a zero at
+    its left end; a zero-width bracket [r, r] is not bisected and returns
+    its root r. The brackets come out by state, then sign +1 before -1,
+    then r1 ascending.
 
-    The grids of a few states stack into one (B, G) array. Feasibility in
-    r1 alone (_t3_feasible) is decided on that array, and the reduction
-    runs only on the K feasible points, in one _t3_equation call with one
-    state per point and both sign rows, (K,) with (2, 1); every other grid
-    point is nan. Neighbouring feasible points of one grid row form the
-    cells.
+    A probe decides feasibility in r1 alone (_t3_feasible) at every
+    _PROBE_STRIDE-th point of a row and its last. A state's window runs
+    from the probe point before its first feasible one to the one after its
+    last, or is its whole row if none is. The reduction is valued on the
+    windows only, one _t3_equation call per (2, B, W) block; a state with
+    a finite value on a window end inside its row is valued again on its
+    whole row, so no finite run is cut.
     """
     n = tol.root_grid_points
-    per_block = max(1, GRID_BLOCK_POINTS // n)
     c = _T3Constants(*table)
-    spanned = np.flatnonzero(c.hi > c.lo)
-    signs = np.array([[1.0], [-1.0]])
+    spanned = np.flatnonzero((c.hi > c.lo) & (n > 1))
+    probe = np.append(np.arange(0, n - 1, _PROBE_STRIDE), n - 1)
+    signs = np.array([1.0, -1.0])[:, None, None]
     found = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
-    for start in range(0, len(spanned), per_block):
-        block = spanned[start : start + per_block]
-        grid = np.array([np.linspace(lo, hi, n) for lo, hi in zip(c.lo[block], c.hi[block])])
-        feasible = _t3_feasible(grid, _T3Constants(*table[:, block, None]))[3]
-        at = np.flatnonzero(feasible)  # into the block's grid, row-major
-        owner = block[at // n]
-        r1 = grid[feasible]
-        f = _t3_equation(r1, signs, _T3Constants(*table[:, owner]))
-        finite = np.isfinite(f)
-        cell = (at[1:] == at[:-1] + 1) & (at[:-1] % n < n - 1)
-        both = cell & finite[:, :-1] & finite[:, 1:]
-        # values at points that are no cell may multiply to inf or 0 * inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            change = both & (f[:, :-1] * f[:, 1:] < 0.0)
-        rows, k = np.nonzero(change | (both & (f[:, :-1] == 0.0)))
-        b = np.where(change[rows, k], r1[k + 1], r1[k])
-        found.append((r1[k], b, f[rows, k], signs[rows, 0], owner[k]))
+
+    def points(states, index):  # the grid points index of states, and their (B, 1) columns
+        s = _T3Constants(*table[:, states, None])
+        return np.where(index == n - 1, s.hi, index * ((s.hi - s.lo) / (n - 1)) + s.lo), s
+
+    per_probe = max(1, GRID_BLOCK_POINTS // len(probe))
+    for block in np.split(spanned, range(per_probe, len(spanned), per_probe)):
+        feasible = _t3_feasible(*points(block, probe))[3]
+        first = probe[np.maximum(feasible.argmax(axis=1) - 1, 0)]
+        last = probe[np.minimum(len(probe) - feasible[:, ::-1].argmax(axis=1), len(probe) - 1)]
+        windows = np.array([block, first, last])  # rows: state, first and last grid index
+        while windows.size:  # one pass each, widest windows first
+            windows = windows[:, np.argsort(windows[1] - windows[2])]
+            width = windows[2, 0] - windows[1, 0] + 1
+            count = max(1, GRID_BLOCK_POINTS // (2 * width))
+            (states, first, last), windows = windows[:, :count], windows[:, count:]
+            # windows are padded with their last point, which makes no cell
+            index = np.minimum(first[:, None] + np.arange(width), last[:, None])
+            r1, cols = points(states, index)
+            f = _t3_equation(r1, signs, cols)
+            finite = np.isfinite(f)
+            ends = index[:, [0, -1]]
+            cut = (finite[..., [0, -1]] & (ends > 0) & (ends < n - 1)).any(axis=(0, 2))
+            redo = states[cut]
+            windows = np.concatenate([windows, [redo, 0 * redo, 0 * redo + n - 1]], axis=1)
+            cell = (index[:, 1:] > index[:, :-1]) & ~cut[:, None]
+            both = cell & finite[..., :-1] & finite[..., 1:]
+            # values at points that make no cell may multiply to inf or 0 * inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                change = both & (f[..., :-1] * f[..., 1:] < 0.0)
+            rows, k, j = np.nonzero(change | (both & (f[..., :-1] == 0.0)))
+            b = np.where(change[rows, k, j], r1[k, j + 1], r1[k, j])
+            found.append((r1[k, j], b, f[rows, k, j], signs[rows, 0, 0], states[k]))
     a, b, fa, sign, owner = (np.concatenate(parts) for parts in zip(*found))
-    # sign-major within a block; r1 stays ascending per state and sign
+    # sign-major within a pass; r1 stays ascending per state and sign
     order = np.argsort(2 * owner + (sign < 0.0), kind="stable")
     return a[order], b[order], fa[order], sign[order], owner[order]
 
@@ -641,9 +661,9 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     to ansatz_failure with diagnostics.
 
     The states run CHUNK at a time: the chunk's Theorem 3 states fill one
-    _t3_table, their root grids run GRID_BLOCK_POINTS grid points per pass
-    (_t3_grid), all their brackets are bisected in one _bisect_t3 call, and
-    the chunk's validation makes one stacked hermitian_eig call. A result
+    _t3_table, their root grids are valued on windows only (_t3_grid), all
+    their brackets are bisected in one _bisect_t3 call, and the chunk's
+    validation makes one stacked hermitian_eig call. A result
     does not depend on the other states in the list.
     """
     tol = tol or default_tolerances()
@@ -727,6 +747,10 @@ def _validated(
         # looked up on the module, so a wrapper set on qmath sees the call
         eig = qmath.hermitian_eig(stack)
         edges = eig.values[:n, 0].tolist()
+    if k:  # the weights <v_j|rho|v_j> of the eigenvectors v_j of every pi, from one product
+        v = eig.vectors[n + k :]
+        weights = (v.conj().swapaxes(1, 2) @ stack[n : n + k] @ v).diagonal(0, 1, 2).real
+        values = eig.values[n:].tolist()  # of each rho, then of each pi
     out = []
     for result, problems, slot in checks:
         edge = None
@@ -736,9 +760,7 @@ def _validated(
             edge = edges[slot]
             if abs(edge) > tol.edge_validation:
                 problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
-            rho, pi = n + slot, n + k + slot
-            sigma = EigenSystem(eig.values[pi], eig.vectors[pi])
-            dual = _relative_entropy_eig(stack[rho], eig.values[rho], sigma)
+            dual = _relative_entropy_weights(values[slot], values[k + slot], weights[slot])
             if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
                 problems.append(
                     f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"

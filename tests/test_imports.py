@@ -90,6 +90,32 @@ print(json.dumps({{"codes": [state[0], grid[0]], "loaded": loaded()}}))
     assert got == {"codes": [0, 0], "loaded": []}
 
 
+def test_compute_and_scan_leave_the_oracle_and_numpy_ma_unloaded():
+    grid = os.path.join(os.path.dirname(SRC), "grids", "baseline_line.json")
+    got = run_fresh(
+        PRELUDE
+        + f"""
+compute = call("compute", "--params", "0.1,0.4,0.3,0.2,0.3")
+scan = call("scan", "--grid", {grid!r})
+# numpy.ma is what np.unique imports on first use
+unloaded = [m for m in ("xree.oracle", "numpy.ma") if m in sys.modules]
+from xree import oracle_ree, OracleConfig
+print(json.dumps({{
+    "codes": [compute[0], scan[0]],
+    "unloaded": unloaded,
+    "names": [oracle_ree.__module__, OracleConfig.__module__, xree.OracleResult.__module__],
+    "module": xree.oracle is sys.modules["xree.oracle"],
+}}))
+"""
+    )
+    assert got == {
+        "codes": [0, 0],
+        "unloaded": [],
+        "names": ["xree.oracle"] * 3,
+        "module": True,
+    }
+
+
 def test_oracle_minimizer_is_a_wrappable_module_attribute(monkeypatch):
     assert callable(xree.oracle.minimize)
     assert xree.oracle.minimize.__module__ == "xree.oracle"

@@ -248,3 +248,79 @@ def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
     levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
     assert len(seen) <= math.ceil(400 / per_block) + levels * math.ceil(400 / CHUNK)
     assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
+
+
+def edge_state(family, rng):
+    """A state near one edge of the general case, drawn until d has room.
+
+    near_symmetric: |a2 - a3| from 1e-11 to 1e-3; outer_product: a1 a4 -> 0;
+    near_separable: d -> sqrt(a1 a4) from above; near_psd_edge: d ->
+    sqrt(a2 a3) from below.
+    """
+    while True:
+        a = rng.dirichlet(np.ones(4))
+        if family == "near_symmetric":
+            mid, gap = 0.5 * (a[1] + a[2]), 10.0 ** rng.uniform(-11, -3)
+            a[1], a[2] = mid + 0.5 * gap, mid - 0.5 * gap
+        elif family == "outer_product":
+            a[rng.choice([0, 3])] *= 10.0 ** rng.uniform(-12, -4)
+            a /= a.sum()
+        a1, a2, a3, a4 = (float(v) for v in a)
+        low, high = math.sqrt(a1 * a4), math.sqrt(a2 * a3)
+        if a2 <= 0.0 or a3 <= 0.0 or high <= low * (1.0 + 1e-9):
+            continue
+        eps = 10.0 ** rng.uniform(-12, -2)
+        if family == "near_separable":
+            d = low * (1.0 + eps) if low > 0.0 else high * eps
+        elif family == "near_psd_edge":
+            d = high * (1.0 - eps)
+        else:
+            d = low + rng.uniform(0.0, 1.0) * (high - low)
+        if low < d < high:
+            return XStateParams(a1, a2, a3, a4, d)
+
+
+EDGE_FAMILIES = ("near_symmetric", "outer_product", "near_separable", "near_psd_edge")
+# states per edge family at each grid size: 4 * 2935 = 11740 state-grids
+EDGE_STATES = {1: 500, 2: 500, 3: 500, 17: 500, 37: 500, 200: 300, 2000: 120, 20001: 15}
+
+
+@pytest.mark.parametrize("points", sorted(EDGE_STATES))
+def test_window_brackets_equal_the_full_grid_near_the_edges(points):
+    # windows are found by a strided probe; every state's brackets must
+    # still be those of its own full grid, also where the feasible run is
+    # shorter than the probe's stride
+    rng = np.random.default_rng(points)
+    tol = grid_tolerances(points)
+    states = [edge_state(f, rng) for f in EDGE_FAMILIES for _ in range(EDGE_STATES[points])]
+    got = block_brackets(states, tol)
+    assert_same_block_brackets(states, got, tol)
+    if points >= 17:  # coarser grids find no bracket at all
+        assert len(got[0]) >= len(states) // 10
+
+
+def test_run_cut_by_its_window_is_valued_on_the_whole_row(monkeypatch):
+    # a reduction finite on the whole row puts a finite value on the end of
+    # a window that the probe of r1 alone made short, so the state is
+    # valued again on its whole row and its brackets are the full grid's
+    tol = default_tolerances()
+    n = tol.root_grid_points
+    states = theorem3_states(41, 3)
+    short = states[1]
+    c = constants(short)
+    grid = np.linspace(c.lo[0], c.hi[0], n)
+    assert 0 < ree_module._t3_feasible(grid, c)[3].sum() < n // 2
+    root = grid[3 * n // 4]  # far outside the window
+    real = ree_module._t3_equation
+    widths = []
+
+    def reduction(r1, sign, p):
+        widths.append(np.shape(r1)[-1])
+        f = real(r1, sign, p)
+        return np.where(p.d == short.d, np.broadcast_to(r1 - root, f.shape), f)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
+    got = block_brackets(states, tol)
+    assert widths[0] < n // 2 and widths[1:] == [n]  # one pass, then the whole row
+    assert_same_block_brackets(states, got, tol)
+    assert ((got[0] == root) & (got[4] == 1)).sum() == 2  # [root, root] in both sign rows

@@ -4,6 +4,8 @@ and compute_ree, and the eigendecompositions a validated compute_ree runs."""
 import cmath
 import json
 import math
+import os
+import struct
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import xree.qmath as qmath
 import xree.ree as ree_module
 import xree.states as states_module
+import xree.cli as cli_module
 from xree.config import default_tolerances
 from xree import DensityMatrix, compute_ree, named_state, to_density_matrix, x_state
 from xree.cli import EXIT_INVALID, main
@@ -314,6 +317,42 @@ class TestValidationMatrices:
         assert {BRANCH_SEPARABLE, BRANCH_THEOREM1, BRANCH_THEOREM2, BRANCH_THEOREM3} <= branches
         got = [m.tobytes() for stack in stacks for m in stack]
         assert sorted(got) == sorted(want)
+
+
+    def test_dual_path_equals_relative_entropy_of_each_slice(self, monkeypatch):
+        # the weights of every solution come from one stacked product; each
+        # dual value is bit for bit the one-state spectral relative entropy
+        rng = np.random.default_rng(25)
+        states = [random_entangled_params(rng) for _ in range(60)]
+        grid = os.path.join(os.path.dirname(__file__), "..", "grids", "baseline_line.json")
+        with open(grid, encoding="utf-8") as fh:
+            mode, points = cli_module._grid_points(json.load(fh), 1000)
+        states += [s for s in (cli_module._scan_state(mode, pt) for pt in points) if s is not None]
+        stacks, duals = [], []
+        forward, dual_of = qmath.hermitian_eig, ree_module._relative_entropy_weights
+
+        def capturing(m):
+            stacks.append((m, forward(m)))
+            return stacks[-1][1]
+
+        def recording(*args):
+            duals.append(dual_of(*args))
+            return duals[-1]
+
+        monkeypatch.setattr(qmath, "hermitian_eig", capturing)
+        monkeypatch.setattr(ree_module, "_relative_entropy_weights", recording)
+        results = ree_module.compute_ree_many(states)
+        monkeypatch.undo()
+        assert len(stacks) == 1 and len(duals) > 300
+        assert sum(r.branch == BRANCH_THEOREM3 for r in results) >= 288
+        stack, eig = stacks[0]
+        k = len(duals)
+        n = len(stack) - 2 * k
+        for slot, got in enumerate(duals):
+            rho, pi = n + slot, n + k + slot
+            sigma = qmath.EigenSystem(eig.values[pi], eig.vectors[pi])
+            want = qmath._relative_entropy_eig(stack[rho], eig.values[rho], sigma)
+            assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestDiagnostics:
