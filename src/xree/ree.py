@@ -502,9 +502,10 @@ def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     _PROBE_STRIDE-th point of a row and its last. A state's window runs
     from the probe point before its first feasible one to the one after its
     last, or is its whole row if none is. The reduction is valued on the
-    windows only, one _t3_equation call per (2, B, W) block; a state with
-    a finite value on a window end inside its row is valued again on its
-    whole row, so no finite run is cut.
+    windows only, one _t3_equation call per (2, B, W) block. This loses no
+    bracket: f is nan wherever r1 alone is infeasible, and the feasible
+    points of a row are one run, since y = sqrt(r1 r4) is concave in r1,
+    so gamma is, and gamma >= 0 holds on one interval.
     """
     n = tol.root_grid_points
     c = _T3Constants(*table)
@@ -522,9 +523,9 @@ def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
         feasible = _t3_feasible(*points(block, probe))[3]
         first = probe[np.maximum(feasible.argmax(axis=1) - 1, 0)]
         last = probe[np.minimum(len(probe) - feasible[:, ::-1].argmax(axis=1), len(probe) - 1)]
-        windows = np.array([block, first, last])  # rows: state, first and last grid index
-        while windows.size:  # one pass each, widest windows first
-            windows = windows[:, np.argsort(windows[1] - windows[2])]
+        # rows: state, first and last grid index; widest windows first
+        windows = np.array([block, first, last])[:, np.argsort(first - last)]
+        while windows.size:  # one pass each
             width = windows[2, 0] - windows[1, 0] + 1
             count = max(1, GRID_BLOCK_POINTS // (2 * width))
             (states, first, last), windows = windows[:, :count], windows[:, count:]
@@ -533,12 +534,7 @@ def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
             r1, cols = points(states, index)
             f = _t3_equation(r1, signs, cols)
             finite = np.isfinite(f)
-            ends = index[:, [0, -1]]
-            cut = (finite[..., [0, -1]] & (ends > 0) & (ends < n - 1)).any(axis=(0, 2))
-            redo = states[cut]
-            windows = np.concatenate([windows, [redo, 0 * redo, 0 * redo + n - 1]], axis=1)
-            cell = (index[:, 1:] > index[:, :-1]) & ~cut[:, None]
-            both = cell & finite[..., :-1] & finite[..., 1:]
+            both = (index[:, 1:] > index[:, :-1]) & finite[..., :-1] & finite[..., 1:]
             # values at points that make no cell may multiply to inf or 0 * inf
             with np.errstate(invalid="ignore", over="ignore"):
                 change = both & (f[..., :-1] * f[..., 1:] < 0.0)

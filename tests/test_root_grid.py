@@ -1,10 +1,11 @@
-"""The Theorem 3 root grid: a few states per array pass, feasible points only.
+"""The Theorem 3 root grid: many states per array pass, feasible windows only.
 
-`ree._t3_grid` stacks the r1 grids of several states, values the reduction
-only where r1 alone is feasible, and reads the brackets off neighbouring
-feasible points. Every bracket must be the one a state's own full (2, G)
-grid gives, bit for bit and in the same order, and the pass must stay
-bounded by grid points, not by the number of states.
+`ree._t3_grid` finds each state's window of its r1 grid by a strided probe
+of feasibility in r1 alone, values the reduction on the windows of several
+states in one pass, and reads the brackets off neighbouring points. Every
+bracket must be the one a state's own full (2, G) grid gives, bit for bit
+and in the same order, and a pass must stay bounded by reduction points,
+not by the number of states.
 """
 
 import math
@@ -228,13 +229,13 @@ def test_peak_memory_is_bounded_by_grid_points():
 
 
 def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
-    # one reduction call per block of states and one per bisection level
-    # per chunk
+    # one reduction call per window block of states and one per bisection
+    # level per chunk
     seen = []
     real = ree_module._t3_equation
 
     def counting(r1, sign, p):
-        seen.append(len(r1))
+        seen.append(np.shape(r1))
         return real(r1, sign, p)
 
     monkeypatch.setattr(ree_module, "_t3_equation", counting)
@@ -243,10 +244,15 @@ def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
     branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
     assert len(branches) == 400
     tol = default_tolerances()
-    per_block = max(1, GRID_BLOCK_POINTS // tol.root_grid_points)
+    passes = [shape for shape in seen if len(shape) == 2]  # (states, window width)
+    # a pass of several states holds at most GRID_BLOCK_POINTS reduction
+    # points, both signs counted; the line's windows are 401 to 465 points
+    # wide, so 17 to 19 states share a full pass and the line takes 24
+    assert all(2 * states * width <= GRID_BLOCK_POINTS for states, width in passes)
+    assert len(passes) == 24 and max(states for states, _ in passes) >= 17
     # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
     levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
-    assert len(seen) <= math.ceil(400 / per_block) + levels * math.ceil(400 / CHUNK)
+    assert len(seen) - len(passes) <= levels * math.ceil(400 / CHUNK)
     assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
 
 
@@ -297,30 +303,3 @@ def test_window_brackets_equal_the_full_grid_near_the_edges(points):
     assert_same_block_brackets(states, got, tol)
     if points >= 17:  # coarser grids find no bracket at all
         assert len(got[0]) >= len(states) // 10
-
-
-def test_run_cut_by_its_window_is_valued_on_the_whole_row(monkeypatch):
-    # a reduction finite on the whole row puts a finite value on the end of
-    # a window that the probe of r1 alone made short, so the state is
-    # valued again on its whole row and its brackets are the full grid's
-    tol = default_tolerances()
-    n = tol.root_grid_points
-    states = theorem3_states(41, 3)
-    short = states[1]
-    c = constants(short)
-    grid = np.linspace(c.lo[0], c.hi[0], n)
-    assert 0 < ree_module._t3_feasible(grid, c)[3].sum() < n // 2
-    root = grid[3 * n // 4]  # far outside the window
-    real = ree_module._t3_equation
-    widths = []
-
-    def reduction(r1, sign, p):
-        widths.append(np.shape(r1)[-1])
-        f = real(r1, sign, p)
-        return np.where(p.d == short.d, np.broadcast_to(r1 - root, f.shape), f)
-
-    monkeypatch.setattr(ree_module, "_t3_equation", reduction)
-    got = block_brackets(states, tol)
-    assert widths[0] < n // 2 and widths[1:] == [n]  # one pass, then the whole row
-    assert_same_block_brackets(states, got, tol)
-    assert ((got[0] == root) & (got[4] == 1)).sum() == 2  # [root, root] in both sign rows
