@@ -135,9 +135,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _relative_entropy_eig(rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem) -> float:
     """relative_entropy from rho's matrix and spectrum and sigma's eigensystem."""
-    # <v_j|rho|v_j> for every eigenvector of sigma, from one product
-    weights = (eig_s.vectors.conj().T @ rm @ eig_s.vectors).diagonal().real
-    return _relative_entropy_weights(rho_values, eig_s.values, weights)
+    return _relative_entropy_weights(rho_values, eig_s.values, _sigma_weights(eig_s.vectors, rm))
+
+
+def _sigma_weights(vectors: np.ndarray, rm: np.ndarray) -> np.ndarray:
+    """<v_j|rho|v_j> for every column v_j of vectors, from one product; stacks broadcast."""
+    return (vectors.conj().swapaxes(-1, -2) @ rm @ vectors).diagonal(0, -2, -1).real
 
 
 def _relative_entropy_weights(rho_values, sigma_values, weights: np.ndarray) -> float:

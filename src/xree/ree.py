@@ -49,7 +49,8 @@ from .config import Tolerances, default_tolerances
 from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
 from . import qmath
 from .qmath import (
-    _EIGENVALUE_CLAMP, _SUPPORT_LEAK, _relative_entropy_weights, _xlnx, binary_entropy,
+    _EIGENVALUE_CLAMP, _SUPPORT_LEAK, _relative_entropy_weights, _sigma_weights, _xlnx,
+    binary_entropy,
 )
 from .states import (
     XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
@@ -744,8 +745,7 @@ def _validated(
         eig = qmath.hermitian_eig(stack)
         edges = eig.values[:n, 0].tolist()
     if k:  # the weights <v_j|rho|v_j> of the eigenvectors v_j of every pi, from one product
-        v = eig.vectors[n + k :]
-        weights = (v.conj().swapaxes(1, 2) @ stack[n : n + k] @ v).diagonal(0, 1, 2).real
+        weights = _sigma_weights(eig.vectors[n + k :], stack[n : n + k])
         values = eig.values[n:].tolist()  # of each rho, then of each pi
     out = []
     for result, problems, slot in checks:
