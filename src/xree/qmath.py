@@ -135,7 +135,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _relative_entropy_eig(rm: np.ndarray, rho_values: np.ndarray, eig_s: EigenSystem) -> float:
     """relative_entropy from rho's matrix and spectrum and sigma's eigensystem."""
-    return _relative_entropy_weights(rho_values, eig_s.values, _sigma_weights(eig_s.vectors, rm))
+    weights = _sigma_weights(eig_s.vectors, rm).tolist()
+    return _relative_entropy_weights(rho_values, eig_s.values, weights)
 
 
 def _sigma_weights(vectors: np.ndarray, rm: np.ndarray) -> np.ndarray:
@@ -143,11 +144,18 @@ def _sigma_weights(vectors: np.ndarray, rm: np.ndarray) -> np.ndarray:
     return (vectors.conj().swapaxes(-1, -2) @ rm @ vectors).diagonal(0, -2, -1).real
 
 
-def _relative_entropy_weights(rho_values, sigma_values, weights: np.ndarray) -> float:
-    """relative_entropy from both spectra and the weights <v_j|rho|v_j> of sigma's vectors."""
-    tr_rho_ln_rho = sum(_xlnx(lam) for lam in rho_values if lam > _EIGENVALUE_CLAMP)
+def _relative_entropy_weights(rho_values, sigma_values, weights) -> float:
+    """relative_entropy from both spectra and the weights <v_j|rho|v_j> of sigma's vectors.
+
+    Each is a sequence of 4 floats. tr(rho ln rho) is summed left to right
+    from 0.
+    """
+    tr_rho_ln_rho = 0.0
+    for lam in rho_values:
+        if lam > _EIGENVALUE_CLAMP:
+            tr_rho_ln_rho += lam * math.log(lam)
     cross = 0.0
-    for lam, weight in zip(sigma_values, weights.tolist()):
+    for lam, weight in zip(sigma_values, weights):
         if lam < _SUPPORT_EIGENVALUE:
             if weight >= _SUPPORT_LEAK:
                 return math.inf

@@ -258,12 +258,13 @@ def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> 
     A CSS outside the domain of the logarithms fails validation.
     """
     try:
-        residuals = css_residuals(css, p, tol)
+        res_a, res_b, res_c, res_d, res_e = css_residuals(css, p, tol)
         ree = ree_from_css(p, css)
     except LogDomainError as exc:
         note = f"{branch} solution failed validation; CSS validation error: {exc}"
         return ReeResult(None, None, BRANCH_FAILURE, None, note)
-    return ReeResult(ree, css, branch, max(abs(r) for r in residuals))
+    residual_max = max(abs(res_a), abs(res_b), abs(res_c), abs(res_d), abs(res_e))
+    return ReeResult(ree, css, branch, residual_max)
 
 
 def _branch_of(p: XStateParams) -> str:
@@ -705,10 +706,13 @@ def _validated(
     checked by css_to_x_params. A branch solution stacks PT(pi), rho and
     pi; a separable result stacks its state's partial transpose. One
     _family_matrices call builds the whole stack in its final order, the
-    partial transposes directly, with no partial_transpose call. The edge
-    eigenvalue and the spectral relative entropy are read off the stack as
-    min_eig_pt and relative_entropy compute them, and the edge eigenvalue
-    of an accepted result is kept as its edge_min_eig.
+    partial transposes directly, with no partial_transpose call, and forms
+    the entries of each pi once for PT(pi) and pi. The edge eigenvalue and
+    the spectral relative entropy are read off the stack as min_eig_pt and
+    relative_entropy compute them, and the edge eigenvalue of an accepted
+    result is kept as its edge_min_eig. The eigenvalues of the whole stack
+    and the dual-path weights of every solution are each read into Python
+    floats by one tolist().
     """
     pis: list[XStateParams] = []  # the CSS of each branch solution
     rhos: list[XStateParams] = []  # its state
@@ -740,23 +744,24 @@ def _validated(
     k = len(pis)
     n = k + len(separable)
     if n:
-        stack = _family_matrices(pis + separable + rhos + pis, transposed=n)
+        stack = _family_matrices(pis + separable + rhos, transposed=n, repeated=k)
         # looked up on the module, so a wrapper set on qmath sees the call
         eig = qmath.hermitian_eig(stack)
-        edges = eig.values[:n, 0].tolist()
+        values = eig.values.tolist()
     if k:  # the weights <v_j|rho|v_j> of the eigenvectors v_j of every pi, from one product
-        weights = _sigma_weights(eig.vectors[n + k :], stack[n : n + k])
-        values = eig.values[n:].tolist()  # of each rho, then of each pi
+        weights = _sigma_weights(eig.vectors[n + k :], stack[n : n + k]).tolist()
     out = []
     for result, problems, slot in checks:
         edge = None
         if result.branch == BRANCH_SEPARABLE:
-            edge = edges[k + slot]
+            edge = values[k + slot][0]
         elif slot is not None:
-            edge = edges[slot]
+            edge = values[slot][0]
             if abs(edge) > tol.edge_validation:
                 problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
-            dual = _relative_entropy_weights(values[slot], values[k + slot], weights[slot])
+            dual = _relative_entropy_weights(
+                values[n + slot], values[n + k + slot], weights[slot]
+            )
             if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
                 problems.append(
                     f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"

@@ -43,8 +43,9 @@ _ENTANGLEMENT_MARGIN = 1e-14
 def _check_finite(values, label: str) -> None:
     # nan is false under every range comparison, and max(0.0, nan) is 0.0,
     # so the range checks alone would let it through
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidStateError(f"{label}: non-finite value in {tuple(values)}")
+    for v in values:
+        if not math.isfinite(v):
+            raise InvalidStateError(f"{label}: non-finite value in {tuple(values)}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,16 @@ def x_state(
     tol = tol or default_tolerances()
     _check_finite((a1, a2, a3, a4, d, phi), "x_state")
     pops = (a1, a2, a3, a4)
-    if any(a < -tol.simplex for a in pops):
+    if min(pops) < -tol.simplex:
         raise InvalidStateError(f"negative population in {pops}")
     total = a1 + a2 + a3 + a4
     if abs(total - 1.0) > tol.simplex:
         raise InvalidStateError(f"populations sum to {total!r}, not 1")
     if d < -tol.simplex:
         raise InvalidStateError(f"coherence magnitude {d!r} is negative")
-    p = XStateParams(*(max(0.0, a) for a in pops), max(0.0, d), phi)
+    p = XStateParams(
+        max(0.0, a1), max(0.0, a2), max(0.0, a3), max(0.0, a4), max(0.0, d), phi
+    )
     _check_state(p)
     return p
 
@@ -180,7 +183,7 @@ def x_state_from_bloch(b: BlochZParams) -> XStateParams:
     return x_state(*pops, d=max(0.0, d), phi=b.phi)
 
 
-def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
+def _family_matrices(ps, transposed: int = 0, repeated: int = 0) -> np.ndarray:
     """The (n, 4, 4) matrices of family members, with no validity check.
 
     Callers pass states that have passed _check_state. The entries are
@@ -194,8 +197,13 @@ def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
     The first `transposed` matrices come out partially transposed, bit for
     bit as partial_transpose makes them: it only moves entries, so their
     entries are taken in the order _PT_ORDER.
+
+    The first `repeated` states come again after the last one, not
+    transposed: each state's 16 entries are formed once, even when the
+    stack holds its matrix twice.
     """
     entries = []
+    again = []
     for i, p in enumerate(ps):
         coh = p.d * cmath.exp(1j * p.phi)
         low = coh.conjugate()
@@ -205,8 +213,10 @@ def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
             0j, _HALF * (low + low), p.a3, 0j,
             0j, 0j, 0j, p.a4,
         )
+        if i < repeated:
+            again += row
         entries += _PT_ORDER(row) if i < transposed else row
-    return np.array(entries, dtype=complex).reshape(-1, 4, 4)
+    return np.array(entries + again, dtype=complex).reshape(-1, 4, 4)
 
 
 def to_density_matrix(p: XStateParams) -> DensityMatrix:

@@ -21,7 +21,7 @@ import xree.ree as ree_module
 from xree.config import default_tolerances
 from xree.cli import main
 from xree.ree import (
-    BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, GRID_BLOCK_POINTS, _bisect_t3, _t3_equation,
+    BRANCH_FAILURE, BRANCH_THEOREM3, CHUNK, _bisect_t3, _t3_equation,
     solve_theorem3,
 )
 from xree.states import RAINS_PARAMS
@@ -153,18 +153,21 @@ def test_rains_solve_makes_one_reduction_call_per_level(monkeypatch):
 
 
 def test_scan_polishes_each_chunk_together(monkeypatch, capsys):
-    # one grid call per block of states and one call per bisection level
-    # per chunk; a polish state by state makes about 31 calls per state
+    # one grid call per window pass, (states, width) points, and one call
+    # per bisection level per chunk; a polish state by state makes about
+    # 31 calls per state
     seen = counted(monkeypatch, _t3_equation)
     grid = os.path.join(os.path.dirname(__file__), "..", "grids", "baseline_line.json")
     assert main(["scan", "--grid", grid]) == 0
     branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
     assert len(branches) == 400
     tol = default_tolerances()
-    per_block = max(1, GRID_BLOCK_POINTS // tol.root_grid_points)
+    # the line's windows share 24 passes (tests/test_root_grid.py)
+    passes = sum(r1.ndim == 2 for r1 in seen)
+    assert passes == 24
     # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
     levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
-    assert len(seen) <= math.ceil(400 / per_block) + levels * math.ceil(400 / CHUNK)
+    assert len(seen) <= passes + levels * math.ceil(400 / CHUNK)
     assert (branches.count(BRANCH_THEOREM3), branches.count(BRANCH_FAILURE)) == (288, 112)
 
 

@@ -80,6 +80,25 @@ def block_brackets(ps, tol):
     return ree_module._t3_grid(ree_module._t3_table(ps), tol)
 
 
+def recorded_passes(monkeypatch):
+    """Patch the reduction into ree; returns the list of (states, width) of its window passes."""
+    passes = []
+    real = ree_module._t3_equation
+
+    def recording(r1, sign, c):
+        if np.ndim(r1) == 2:  # a bisection level values a 1-d array
+            passes.append(np.shape(r1))
+        return real(r1, sign, c)
+
+    monkeypatch.setattr(ree_module, "_t3_equation", recording)
+    return passes
+
+
+def full(passes):
+    """Whether each (states, width) pass holds as many states as GRID_BLOCK_POINTS allows."""
+    return [states == max(1, GRID_BLOCK_POINTS // (2 * width)) for states, width in passes]
+
+
 def theorem3_states(seed, count):
     rng = np.random.default_rng(seed)
     return [random_entangled_params(rng, BRANCH_THEOREM3) for _ in range(count)]
@@ -90,13 +109,16 @@ def grid_tolerances(points):
 
 
 @pytest.mark.parametrize("points", [37, 200, 2000])
-def test_block_grid_equals_each_state_alone(points):
+def test_block_grid_equals_each_state_alone(points, monkeypatch):
     tol = grid_tolerances(points)
-    per_block = max(1, GRID_BLOCK_POINTS // points)
-    states = theorem3_states(points, 2 * per_block + 1) + [EMPTY_SPAN, NO_FEASIBLE_POINT]
+    # the states a pass of whole-row windows holds; narrower windows fit more
+    per_pass = max(1, GRID_BLOCK_POINTS // (2 * points))
+    states = theorem3_states(points, 2 * per_pass + 1) + [EMPTY_SPAN, NO_FEASIBLE_POINT]
     states = [states[i] for i in np.random.default_rng(points).permutation(len(states))]
-    assert len(states) > 2 * per_block and len(states) % per_block != 0  # a part block
+    passes = recorded_passes(monkeypatch)
     got = block_brackets(states, tol)
+    # full window passes, then one partial pass
+    assert len(passes) >= 2 and full(passes) == [True] * (len(passes) - 1) + [False]
     assert len(got[0]) > len(states) // 2
     assert_same_block_brackets(states, got, tol)
 
@@ -180,18 +202,22 @@ def test_cells_stay_inside_one_grid_row(monkeypatch):
 
 
 def test_chunks_bisect_the_brackets_of_their_states(monkeypatch):
-    # mixed branches, so the Theorem 3 states of a chunk fill part blocks
+    # mixed branches, so the Theorem 3 states of a chunk end in a partial
+    # window pass, some after a full one
     rng = np.random.default_rng(21)
     states = [random_separable_params(rng) for _ in range(10)]
-    for kind in ("theorem1", "theorem2", "theorem3"):
-        states += [random_entangled_params(rng, kind) for _ in range(25)]
+    for kind, count in (("theorem1", 25), ("theorem2", 25), ("theorem3", 75)):
+        states += [random_entangled_params(rng, kind) for _ in range(count)]
     states.append(x_state(0.04, 0.38, 0.40, 0.18, 0.33))
     states = [states[i] for i in rng.permutation(len(states))]
     solve, bisect = ree_module._solve_theorem3_many, ree_module._bisect_t3
     calls = []
+    passes = recorded_passes(monkeypatch)
+    chunk_passes = []
 
     def solving(ps, tol):
         calls.append([ps])
+        chunk_passes.append(len(passes))
         return solve(ps, tol)
 
     def bisecting(a, b, fa, sign, table, tol):
@@ -200,12 +226,14 @@ def test_chunks_bisect_the_brackets_of_their_states(monkeypatch):
 
     monkeypatch.setattr(ree_module, "_solve_theorem3_many", solving)
     monkeypatch.setattr(ree_module, "_bisect_t3", bisecting)
-    monkeypatch.setattr(ree_module, "CHUNK", 32)  # so the states span three chunks
+    monkeypatch.setattr(ree_module, "CHUNK", 32)  # so the states span five chunks
     compute_ree_many(states)
     assert len(calls) == math.ceil(len(states) / 32)
+    # each chunk's window passes: full ones, then one partial pass
+    chunk_passes = [full(passes[i:j]) for i, j in zip(chunk_passes, chunk_passes[1:] + [None])]
+    assert all(kinds == [True] * (len(kinds) - 1) + [False] for kinds in chunk_passes)
+    assert any(len(kinds) > 1 for kinds in chunk_passes)
     tol = default_tolerances()
-    per_block = GRID_BLOCK_POINTS // tol.root_grid_points
-    assert any(len(ps) % per_block for ps, _ in calls)
     for ps, brackets in calls:
         assert_same_brackets(ps, brackets, tol)
 

@@ -33,7 +33,7 @@ from xree.ree import (
 )
 from xree.states import RAINS_PARAMS, XStateParams, from_density_matrix
 
-from conftest import random_entangled_params
+from conftest import random_entangled_params, random_separable_params
 
 # d^2 = a2 a3 + 0.9e-12 lies inside the coherence slack (1e-12), but the
 # smallest eigenvalue of the matrix is about -1.8e-10, below -psd (-1e-10)
@@ -140,6 +140,10 @@ class TestMatrixIsUnchanged:
         for k in (0, 1, len(ps) // 2, len(ps)):
             got = states_module._family_matrices(ps, transposed=k)
             assert got.tobytes() == np.concatenate((transposed[:k], plain[k:])).tobytes()
+            # the repeated states come again at the end, not transposed
+            got = states_module._family_matrices(ps, transposed=k, repeated=k // 2 + 1)
+            want = (transposed[:k], plain[k:], plain[: k // 2 + 1])
+            assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 # state, branch, and the _check_state and to_density_matrix calls of one
@@ -353,6 +357,35 @@ class TestValidationMatrices:
             sigma = qmath.EigenSystem(eig.values[pi], eig.vectors[pi])
             want = qmath._relative_entropy_eig(stack[rho], eig.values[rho], sigma)
             assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+
+
+class TestClosedFormPath:
+    @pytest.mark.parametrize(
+        "kind, solve",
+        [
+            ("theorem1", ree_module.solve_theorem1),
+            ("theorem2", ree_module.solve_theorem2),
+            ("separable", None),
+        ],
+    )
+    def test_equals_the_one_matrix_api(self, kind, solve):
+        # repr tells 0.0 from -0.0 and a numpy scalar from a float, so each
+        # comparison is bit for bit, whatever numpy and LAPACK compute
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            if solve is None:
+                p = random_separable_params(rng)
+                want = (0.0, ree_module.css_solution(p.a1, p.a2, p.a3, p.a4, p.d, p.phi, 0.0), 0.0)
+                edge = qmath.min_eig_pt(to_density_matrix(p))
+            else:
+                p = random_entangled_params(rng, kind)
+                solved = solve(p)
+                want = (solved.ree, solved.css, solved.residual_max)
+                edge = qmath.min_eig_pt(css_to_density_matrix(solved.css))
+            result = compute_ree(p)
+            assert result.branch == kind
+            assert repr((result.ree, result.css, result.residual_max)) == repr(want)
+            assert repr(result.edge_min_eig) == repr(edge)
 
 
 class TestDiagnostics:
