@@ -58,7 +58,7 @@ def closed_form_states():
                 w[0] = w[3] = 0.0
             elif branch == ree.BRANCH_THEOREM2:
                 w[1] = w[2] = 0.5 * (w[1] + w[2])
-            total = sum(w)
+            total = math.fsum(w)  # correctly rounded on every Python version
             a1, a2, a3, a4 = (v / total for v in w)
             lo, hi = math.sqrt(a1 * a4), math.sqrt(a2 * a3)
             if branch == ree.BRANCH_SEPARABLE:
