@@ -100,6 +100,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=40, help="timed rounds per call")
     args = parser.parse_args()
+    if args.repeats < 2:  # the quartiles need two rounds
+        parser.error("--repeats must be at least 2")
     tol = default_tolerances()
     states = baseline_states()
     table = ree._t3_table([p for p in states if ree._branch_of(p) == ree.BRANCH_THEOREM3])

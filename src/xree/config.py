@@ -5,11 +5,12 @@ reading module sets, and a JSON file named by the REE_TOL_OVERRIDE
 environment variable may override any of them. The tests pass them to the
 compute path (compute_ree, compute_ree_many, solve_theorem1/2/3,
 css_residuals, css_to_x_params, x_state) as tol, setting the validation
-and solver bounds one at a time; the benchmark sets root_grid_points. Any
-other reader calls default_tolerances(). simplex, the slack of input
-weights, is read in three modules. A threshold nothing sets is a constant
-of the one module that reads it, and an override file naming one exits
-as an unknown field.
+and solver bounds and simplex one at a time (a negative simplex fails the
+CSS check of a solution); the benchmark sets root_grid_points. Any other
+reader calls default_tolerances(). simplex, the slack of input weights,
+is read in three modules. A threshold nothing sets is a constant of the
+one module that reads it, and an override file naming one exits as an
+unknown field.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _ENV_VAR = "REE_TOL_OVERRIDE"
 
 @dataclass(frozen=True)
 class Tolerances:
-    # slack of input populations and weights
+    # slack of input populations and weights; the tests set it on the CSS check
     simplex: float = 1e-12
 
     # solver bounds, set by the tests; the benchmark sets root_grid_points

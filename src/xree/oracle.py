@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotInFamilyError
-from .qmath import _EIGENVALUE_CLAMP, _PSD, DensityMatrix, relative_entropy
+from .qmath import _EIGENVALUE_CLAMP, _PSD, DensityMatrix, _xlnx_sum, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
 from .states import (
     _X_PATTERN,
@@ -186,8 +186,10 @@ class OracleConfig:
     the Caratheodory bound for the 15-dimensional two-qubit state space).
     max_iterations caps the objective evaluations per seed (at least 1);
     restarts counts the random seeds on top of the deterministic ones (0 or
-    more), drawn from rng_seed (0 or more). The Nelder-Mead tolerance is
-    fixed at _CONVERGENCE_TOL.
+    more), drawn from rng_seed (0 or more). A deterministic warm start that
+    needs more than K terms is skipped (each needs at most 8), and
+    OracleResult.restart_best_index counts only the seeds that ran. The
+    Nelder-Mead tolerance is fixed at _CONVERGENCE_TOL.
     """
 
     num_product_terms: int = 16
@@ -407,8 +409,7 @@ def oracle_ree(
     cfg = cfg or OracleConfig()
     k = cfg.num_product_terms
     rm = rho.matrix
-    eigvals = np.linalg.eigvalsh(rm)
-    tr_rho_ln_rho = float(sum(v * math.log(v) for v in eigvals if v > _EIGENVALUE_CLAMP))
+    tr_rho_ln_rho = _xlnx_sum(np.linalg.eigvalsh(rm).tolist())
 
     def objective(x: np.ndarray) -> np.ndarray:
         return _objective_many(x, rm, tr_rho_ln_rho)
@@ -425,7 +426,7 @@ def oracle_ree(
         closed = compute_ree(params)
     rng = np.random.default_rng(cfg.rng_seed)
     mixtures = _deterministic_mixtures(rho, params, closed)
-    starts = [_encode(*_pad_mixture(*m, k)) for m in mixtures]
+    starts = [_encode(*_pad_mixture(*m, k)) for m in mixtures if len(m[0]) <= k]
     for _ in range(cfg.restarts):
         logits = rng.normal(0.0, 1.0, k)
         thetas = rng.uniform(0.0, math.pi, 2 * k)

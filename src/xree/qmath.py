@@ -113,13 +113,18 @@ def _xlnx(x: float) -> float:
     return 0.0 if x <= 0.0 else x * math.log(x)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention."""
+def _xlnx_sum(values) -> float:
+    """tr(rho ln rho) of a spectrum: lam ln lam over lam > _EIGENVALUE_CLAMP, in order from 0.0."""
     total = 0.0
-    for lam in hermitian_eig(rho).values.tolist():
+    for lam in values:
         if lam > _EIGENVALUE_CLAMP:
-            total -= lam * math.log(lam)
+            total += lam * math.log(lam)
     return total
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -tr(rho ln rho) in nats, with the 0 ln 0 = 0 convention; +0.0 for a pure state."""
+    return 0.0 - _xlnx_sum(hermitian_eig(rho).values.tolist())
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -147,13 +152,9 @@ def _sigma_weights(vectors: np.ndarray, rm: np.ndarray) -> np.ndarray:
 def _relative_entropy_weights(rho_values, sigma_values, weights) -> float:
     """relative_entropy from both spectra and the weights <v_j|rho|v_j> of sigma's vectors.
 
-    Each is a sequence of 4 floats. tr(rho ln rho) is summed left to right
-    from 0.
+    Each is a sequence of 4 floats.
     """
-    tr_rho_ln_rho = 0.0
-    for lam in rho_values:
-        if lam > _EIGENVALUE_CLAMP:
-            tr_rho_ln_rho += lam * math.log(lam)
+    tr_rho_ln_rho = _xlnx_sum(rho_values)
     cross = 0.0
     for lam, weight in zip(sigma_values, weights):
         if lam < _SUPPORT_EIGENVALUE:

@@ -53,8 +53,8 @@ from .qmath import (
     binary_entropy,
 )
 from .states import (
-    XStateParams, _check_simplex, _check_state, _family_matrices, input_spectrum_pair,
-    is_entangled, to_density_matrix, x_state,
+    _MIXTURES, XStateParams, _check_simplex, _check_state, _family_matrices,
+    input_spectrum_pair, is_entangled, to_density_matrix, x_state,
 )
 
 BRANCH_SEPARABLE = "separable"
@@ -387,7 +387,7 @@ def _t3_table(ps: list[XStateParams]) -> np.ndarray:
 
 
 def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
-    """The r1-only part of _t3_candidates: r4, y, gamma and their feasibility.
+    """The r1-only part of _t3_values: r4, y, gamma and their feasibility.
 
     A point is feasible when r1 > a1, r4 > 0 and gamma >= 0; the sign
     branch of (r2, r3) does not enter. r1 and the constants c broadcast.
@@ -399,46 +399,38 @@ def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
     return r4, y, gamma, (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0)
 
 
-def _t3_candidates(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
-    """Populations (r2, r3, r4), y, and the feasibility mask for given r1.
+def _t3_values(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
+    """The reduction f(r1), its candidate (r2, r3, r4, y) and where it is defined.
 
-    r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and the
-    columns c broadcast, with one state per entry of r1. The root grid
-    passes B windows as r1 (B, W) with sign (2, 1, 1), one block per
-    branch; the bisection and the root filters pass r1 and sign (K,), one
-    entry per bracket. r4 and y take the shape of r1.
+    f(r1) = ell - z (r1 - a1)(r2 - r3)^2
+                 / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
+
+    Returns (f, r2, r3, r4, y, ok); f is nan where ok is false. r1, sign
+    (+1 or -1, the branch of the (r2, r3) quadratic) and the columns c
+    broadcast, with one state per entry of r1. The root grid passes B
+    windows as r1 (B, W) with sign (2, 1, 1), one block per branch; the
+    bisection and the root filters pass r1 and sign (K,), one entry per
+    bracket. r4 and y take the shape of r1, the rest the common shape.
     """
     r4, y, gamma, feasible = _t3_feasible(r1, c)
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
     r2 = 0.25 * (c.r2_base - 4.0 * r1 + sign * root)
     r3 = 0.25 * (c.r3_base - 4.0 * r1 - sign * root)
-    return r2, r3, r4, y, feasible & (r2 > 0.0) & (r3 > 0.0)
-
-
-def _t3_equation(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> np.ndarray:
-    """The one-variable reduction f(r1); nan where the candidate is infeasible.
-
-    f(r1) = ell - z (r1 - a1)(r2 - r3)^2
-                 / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
-
-    r1, sign and c broadcast as in _t3_candidates: (B, W) with (2, 1, 1)
-    or (K,) with (K,); f has their common shape.
-    """
-    return _t3_reduction(r1, c, *_t3_candidates(r1, sign, c))
-
-
-def _t3_reduction(r1: np.ndarray, c: _T3Constants, r2, r3, r4, y, ok: np.ndarray) -> np.ndarray:
-    """f(r1) of _t3_equation from the output of _t3_candidates; ok is not changed."""
-    a1, d = c.a1, c.d
     with np.errstate(invalid="ignore", divide="ignore"):
         u = r2 - r3
         s = r2 + r3
         w = r1 * r4
         z = np.sqrt(u * u + 4.0 * w)
-        den = y * (d - y) * z * z - 2.0 * w * (r1 - a1) * s
-        ok = ok & (s > z) & (den != 0.0)
+        den = y * (c.d - y) * z * z - 2.0 * w * (r1 - c.a1) * s
+        ok = feasible & (r2 > 0.0) & (r3 > 0.0) & (s > z) & (den != 0.0)
         ell = np.log((s + z) / np.where(ok, s - z, np.nan))
-        return ell - z * (r1 - a1) * u * u / np.where(ok, den, np.nan)
+        f = ell - z * (r1 - c.a1) * u * u / np.where(ok, den, np.nan)
+    return f, r2, r3, r4, y, ok
+
+
+def _t3_equation(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> np.ndarray:
+    """f(r1) of _t3_values: the one reduction the root grid and the bisection value."""
+    return _t3_values(r1, sign, c)[0]
 
 
 def _splits(a, b, tol: Tolerances):
@@ -596,8 +588,7 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     columns = table[:, owner]
     c = _T3Constants(*columns)
     roots = _bisect_t3(a, b, fa, sign, columns, tol)
-    r2, r3, r4, y, ok = _t3_candidates(roots, sign, c)
-    fval = _t3_reduction(roots, c, r2, r3, r4, y, ok)
+    fval, r2, r3, r4, y, ok = _t3_values(roots, sign, c)
     side = (r2 - r3) * (c.a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
     keep = np.flatnonzero(
         (np.abs(fval) <= tol.root_value_cap)
@@ -610,13 +601,7 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     for k, row in zip(owner[keep].tolist(), rows):
         kept[k].append(row)
     brackets = np.bincount(owner, minlength=len(ps)).tolist()
-    states = _T3Constants(*table.tolist())
-    return [
-        _t3_result(p, kept[k], brackets[k], tol)
-        if hi > lo
-        else ReeResult(None, None, BRANCH_FAILURE, None, "empty feasible interval for r1")
-        for k, (p, lo, hi) in enumerate(zip(ps, states.lo, states.hi))
-    ]
+    return [_t3_result(p, kept[k], brackets[k], tol) for k, p in enumerate(ps)]
 
 
 def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
@@ -802,30 +787,22 @@ def closed_form_family_ree(family: str, weights) -> float:
     weights = tuple(float(w) for w in weights)
     name = family.lower()
     _check_simplex(weights, simplex, name)
+    if name not in ("bell_diagonal", "vp", "horodecki"):
+        raise InvalidStateError(f"no closed form for family {family!r}")
+    arity, matrices = _MIXTURES[name]
+    if len(weights) != len(matrices):
+        raise InvalidStateError(f"{name} requires {arity}")
     if name == "bell_diagonal":
-        if len(weights) != 4:
-            raise InvalidStateError("bell_diagonal requires 4 weights")
         l3 = weights[2]
         if l3 < max(weights) - simplex:
             raise InvalidStateError(
                 "bell_diagonal closed form requires the third weight to be maximal"
             )
         return math.log(2.0) - binary_entropy(l3)
+    l1, l2, l3 = weights
     if name == "vp":
-        if len(weights) != 3:
-            raise InvalidStateError("vp requires 3 weights")
-        l1, l2, l3 = weights
         lam = 0.5 * (1.0 + math.sqrt(l1 * l1 + (l2 - l3) ** 2))
         return binary_entropy(0.5 * l1 + l2) - binary_entropy(min(lam, 1.0))
-    if name == "horodecki":
-        if len(weights) != 3:
-            raise InvalidStateError("horodecki requires 3 weights")
-        l1, l2, l3 = weights
-        return (
-            _xlnx(l1)
-            + _xlnx(l2)
-            + _xlnx(l3)
-            + 2.0 * binary_entropy(0.5 * l1 + l2)
-            - l1 * math.log(2.0)
-        )
-    raise InvalidStateError(f"no closed form for family {family!r}")
+    return (
+        _xlnx(l1) + _xlnx(l2) + _xlnx(l3) + 2.0 * binary_entropy(0.5 * l1 + l2) - l1 * math.log(2.0)
+    )

@@ -21,6 +21,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -172,7 +173,7 @@ def x_state_from_bloch(b: BlochZParams) -> XStateParams:
         if a < -simplex:
             raise InvalidStateError(f"Bloch parameters give population {a!r} < 0")
     pops = [max(0.0, a) for a in pops]
-    total = sum(pops)
+    total = reduce(operator.add, pops, 0)  # left to right; sum() compensates on 3.12+
     pops = [a / total for a in pops]
     d = b.g_x / (2.0 * math.cos(b.phi))
     if d < -simplex:
@@ -301,7 +302,7 @@ def _check_simplex(weights, simplex: float, label: str) -> None:
     _check_finite(weights, label)
     if any(w < -simplex for w in weights):
         raise InvalidStateError(f"{label}: negative weight in {tuple(weights)}")
-    total = sum(weights)
+    total = reduce(operator.add, weights, 0)  # left to right; sum() compensates on 3.12+
     if abs(total - 1.0) > simplex:
         raise InvalidStateError(f"{label}: weights sum to {total!r}, not 1")
 

@@ -168,6 +168,25 @@ class TestOracleCommand:
         code, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "state, terms",
+        [
+            (("--family", "rains"), "4"),
+            (("--family", "horodecki:0.6,0.25,0.15"), "5"),
+            (("--family", "theorem3_example:0.66,0.05,0.07,0.04,0.18"), "4"),
+            (("--params", "0.3,0.2,0.2,0.3,0.1"), "7"),
+        ],
+        ids=["rains", "horodecki", "failure", "separable"],
+    )
+    def test_any_legal_mixture_size_runs(self, capsys, state, terms):
+        code, out, err = run_cli(
+            capsys, "oracle", *state, "--terms", terms, "--restarts", "1", "--iterations", "100"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        validate_output(doc, "oracle_output.schema.json")
+        assert len(doc["weights"]) == int(terms)
+
     def test_bell_close_to_ln2(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--family", "vp:1,0,0", "--seed", "3",

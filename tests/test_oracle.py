@@ -50,6 +50,7 @@ FAST = OracleConfig(num_product_terms=8, restarts=2, max_iterations=400, rng_see
 FAILURE_PARAMS = from_density_matrix(
     named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18)
 )
+HORODECKI_PARAMS = from_density_matrix(named_state("horodecki", 0.6, 0.25, 0.15))
 
 
 class TestProductDecomposition:
@@ -184,6 +185,23 @@ class TestOracleRee:
         assert a.ree_upper_bound >= closed_form_family_ree("bell_diagonal", weights) - 1e-12
         assert min_eig_pt(a.sigma) >= -1e-9
         assert oracle_ree(rho, FAST).sigma.matrix.tobytes() == a.sigma.matrix.tobytes()
+
+    # warm starts of 6 terms (Rains', Horodecki's and the failure state) and
+    # 8 (the separable state) at mixture sizes below them
+    @pytest.mark.parametrize("k", [4, 5, 7])
+    @pytest.mark.parametrize(
+        "p",
+        [RAINS_PARAMS, HORODECKI_PARAMS, FAILURE_PARAMS, x_state(0.3, 0.2, 0.2, 0.3, 0.1)],
+        ids=["rains", "horodecki", "failure", "separable"],
+    )
+    def test_warm_starts_larger_than_the_mixture_are_skipped(self, p, k):
+        closed = compute_ree(p)
+        cfg = OracleConfig(num_product_terms=k, restarts=1, max_iterations=200, rng_seed=5)
+        result = oracle_ree(to_density_matrix(p), cfg, closed=closed)
+        assert math.isfinite(result.ree_upper_bound)
+        assert result.weights.shape == (k,)
+        if closed.ree is not None:
+            assert result.ree_upper_bound >= closed.ree - 1e-9
 
     def test_min_terms_enforced(self):
         with pytest.raises(Exception):

@@ -27,7 +27,7 @@ from xree import (
 )
 import xree.ree as ree_module
 from xree.config import default_tolerances
-from xree.errors import LogDomainError, WrongBranchError
+from xree.errors import InvalidStateError, LogDomainError, WrongBranchError
 from xree.ree import (
     BRANCH_FAILURE,
     BRANCH_SEPARABLE,
@@ -419,6 +419,26 @@ class TestClosedFormFamilies:
     def test_bell_diagonal_requires_maximal_third_weight(self):
         with pytest.raises(Exception):
             closed_form_family_ree("bell_diagonal", (0.6, 0.1, 0.2, 0.1))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: closed_form_family_ree("bell_diagonal", (0.5, 0.5)),
+             "bell_diagonal requires 4 weights"),
+            (lambda: closed_form_family_ree("vp", (0.25,) * 4), "vp requires 3 weights"),
+            (lambda: closed_form_family_ree("Horodecki", (0.5, 0.5)),
+             "horodecki requires 3 weights"),
+            (lambda: closed_form_family_ree("rains", (1.0,)), "no closed form for family 'rains'"),
+            # the simplex check comes before the family lookup
+            (lambda: closed_form_family_ree("rains", (0.5,)), "rains: weights sum to 0.5, not 1"),
+            (lambda: named_state("vp", 0.5, 0.5), "vp requires 3 weights"),
+        ],
+        ids=["bell-arity", "vp-arity", "horodecki-arity", "unknown", "simplex-first", "named"],
+    )
+    def test_arity_and_family_errors(self, call, message):
+        with pytest.raises(InvalidStateError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_vp_exchange_symmetry(self):
         rng = np.random.default_rng(59)

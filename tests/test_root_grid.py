@@ -134,30 +134,6 @@ def test_the_special_states_have_no_brackets():
         assert [len(v) for v in block_brackets([p], tol)] == [0] * 5
 
 
-def test_empty_interval_result(monkeypatch):
-    # no valid entangled state has hi <= lo, so one state's hi is set to its lo
-    states = theorem3_states(5, 6)
-    alone = compute_ree_many(states)
-    empty = states[2]
-    table_of = ree_module._t3_table
-    lo, hi = (ree_module._T3Constants._fields.index(name) for name in ("lo", "hi"))
-
-    def emptied(ps):
-        table = table_of(ps)
-        for k, p in enumerate(ps):
-            if p is empty:
-                table[hi, k] = table[lo, k]
-        return table
-
-    monkeypatch.setattr(ree_module, "_t3_table", emptied)
-    got = compute_ree_many(states)
-    assert got[2].branch == BRANCH_FAILURE
-    assert got[2].diagnostics == "empty feasible interval for r1"
-    assert [repr(r) for k, r in enumerate(got) if k != 2] == [
-        repr(r) for k, r in enumerate(alone) if k != 2
-    ]
-
-
 def test_zero_on_a_grid_point_and_nan_next_to_finite_values(monkeypatch):
     tol = grid_tolerances(200)
     states = theorem3_states(9, 11)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from dataclasses import astuple
 
 import numpy as np
@@ -51,6 +52,29 @@ class TestBlochConversion:
     def test_invalid_populations(self):
         with pytest.raises(InvalidStateError):
             x_state_from_bloch(BlochZParams(r=1.5, s=1.5, g_x=0.0, g_z=0.0))
+
+    def test_normalised_by_the_left_to_right_total(self):
+        # sum() compensates on Python >= 3.12; these draws are those whose
+        # correctly rounded total differs from the left-to-right one
+        rng = random.Random(12)
+        draws = []
+        while len(draws) < 24:
+            r, s, g_z = (rng.uniform(-0.3, 0.3) for _ in range(3))
+            pops = [
+                (1.0 + r + s + g_z) / 4.0,
+                (1.0 + r - s - g_z) / 4.0,
+                (1.0 - r + s - g_z) / 4.0,
+                (1.0 - r - s + g_z) / 4.0,
+            ]
+            total = ((pops[0] + pops[1]) + pops[2]) + pops[3]
+            if math.fsum(pops) != total:
+                draws.append((r, s, g_z, pops, total))
+        moved = 0
+        for r, s, g_z, pops, total in draws:
+            p = x_state_from_bloch(BlochZParams(r=r, s=s, g_x=0.0, g_z=g_z))
+            assert p.diag() == tuple(a / total for a in pops)
+            moved += p.diag() != tuple(a / math.fsum(pops) for a in pops)
+        assert moved > 0
 
 
 class TestDensityMatrixRoundTrip:
