@@ -1,6 +1,7 @@
 """Command-line front end: compute, selftest, oracle, and scan subcommands.
 
-Exit codes: 0 success, 1 invalid input, 2 ansatz failure (compute only).
+Exit codes: 0 success, 1 invalid input (usage errors included, and a failed
+selftest check), 2 ansatz failure (compute only).
 All REE values are emitted in nats; --bits adds a display conversion.
 Input documents are JSON validated against the schema files shipped
 under xree/schemas; output documents are JSON that the tests check
@@ -172,8 +173,7 @@ def load_state_document(doc: dict) -> XStateParams:
             BlochZParams(b["r"], b["s"], b["gx"], b["gz"], b.get("phi", 0.0))
         )
     fam = doc["family"]
-    rho = named_state(fam["name"], *fam.get("weights", []))
-    return from_density_matrix(rho)
+    return _family_state(fam["name"], *fam.get("weights", []))
 
 
 def _parse_params_flag(text: str) -> XStateParams:
@@ -190,6 +190,11 @@ def _parse_params_flag(text: str) -> XStateParams:
     return x_state(vals[0], vals[1], vals[2], vals[3], vals[4], phi)
 
 
+def _family_state(name: str, *weights: float) -> XStateParams:
+    """The family parameters of the named reference state."""
+    return from_density_matrix(named_state(name, *weights))
+
+
 def _parse_family_flag(text: str) -> XStateParams:
     name, _, tail = text.partition(":")
     weights = []
@@ -198,7 +203,7 @@ def _parse_family_flag(text: str) -> XStateParams:
             weights = [float(v) for v in tail.split(",")]
         except ValueError as exc:
             raise InvalidStateError(f"--family weights: {exc}") from exc
-    return from_density_matrix(named_state(name, *weights))
+    return _family_state(name, *weights)
 
 
 def _read_json(path: str, what: str):
@@ -330,7 +335,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
     """(name, expected, computed, tolerance) for every fixed regression."""
     rows: list[tuple[str, float | str, float | str, float]] = []
 
-    bell = from_density_matrix(named_state("vp", 1.0, 0.0, 0.0))
+    bell = _family_state("vp", 1.0, 0.0, 0.0)
     rows.append(("bell |b3> REE = ln 2", math.log(2.0), compute_ree(bell).ree, 1e-12))
     rows.append(
         (
@@ -342,8 +347,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
     )
 
     vp_w = (0.5, 0.3, 0.2)
-    vp_state = from_density_matrix(named_state("vp", *vp_w))
-    vp_result = compute_ree(vp_state)
+    vp_result = compute_ree(_family_state("vp", *vp_w))
     rows.append(("vp(0.5,0.3,0.2) routed to theorem1", "theorem1", vp_result.branch, 0.0))
     rows.append(
         (
@@ -354,9 +358,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
         )
     )
 
-    t1 = from_density_matrix(
-        named_state("theorem1_example", 0.5, 1 / math.sqrt(2), 1 / math.sqrt(2), 0.3, 0.2)
-    )
+    t1 = _family_state("theorem1_example", 0.5, 1 / math.sqrt(2), 1 / math.sqrt(2), 0.3, 0.2)
     t1_result = compute_ree(t1)
     rows.append(("theorem1 example CSS r2", 0.55, t1_result.css.r2, 1e-12))
     rows.append(("theorem1 example CSS r3", 0.45, t1_result.css.r3, 1e-12))
@@ -367,8 +369,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
     rows.append(("theorem1 example REE", expected, t1_result.ree, 1e-12))
 
     hor_w = (0.6, 0.25, 0.15)
-    hor = from_density_matrix(named_state("horodecki", *hor_w))
-    hor_result = compute_ree(hor)
+    hor_result = compute_ree(_family_state("horodecki", *hor_w))
     rows.append(("horodecki(0.6,0.25,0.15) routed to theorem2", "theorem2", hor_result.branch, 0.0))
     rows.append(
         (
@@ -378,7 +379,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
             1e-10,
         )
     )
-    red = compute_ree(from_density_matrix(named_state("theorem2_example", 0.6, 0.0, 0.25, 0.15)))
+    red = compute_ree(_family_state("theorem2_example", 0.6, 0.0, 0.25, 0.15))
     rows.append(
         (
             "theorem2_example(0.6,0,0.25,0.15) reduction",
@@ -387,8 +388,8 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
             1e-10,
         )
     )
-    swap_a = compute_ree(from_density_matrix(named_state("theorem2_example", 0.5, 0.1, 0.25, 0.15)))
-    swap_b = compute_ree(from_density_matrix(named_state("theorem2_example", 0.5, 0.1, 0.15, 0.25)))
+    swap_a = compute_ree(_family_state("theorem2_example", 0.5, 0.1, 0.25, 0.15))
+    swap_b = compute_ree(_family_state("theorem2_example", 0.5, 0.1, 0.15, 0.25))
     rows.append(("outer-population swap invariance", swap_a.ree, swap_b.ree, 1e-10))
 
     rains = compute_ree(RAINS_PARAMS)
@@ -408,9 +409,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
         )
     )
 
-    six = compute_ree(
-        from_density_matrix(named_state("theorem3_example", 0.66, 0.16, 0.03, 0.06, 0.09))
-    )
+    six = compute_ree(_family_state("theorem3_example", 0.66, 0.16, 0.03, 0.06, 0.09))
     for name, want, got in (
         ("six-digit CSS r1", 0.139198, six.css.r1),
         ("six-digit CSS r2", 0.405896, six.css.r2),
@@ -420,9 +419,7 @@ def _selftest_rows() -> list[tuple[str, float | str, float | str, float]]:
     ):
         rows.append((name, want, got, 1e-5))
 
-    failure = compute_ree(
-        from_density_matrix(named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18))
-    )
+    failure = compute_ree(_family_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18))
     rows.append(("failure case detected", BRANCH_FAILURE, failure.branch, 0.0))
     return rows
 
@@ -585,10 +582,18 @@ def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is invalid input: EXIT_INVALID, not 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xree",
         description="REE and closest separable states for two-qubit X-like states",
+        epilog="exit codes: 0 success; 1 invalid input, usage errors included, "
+        "or a failed selftest check; 2 ansatz failure (compute only)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -614,9 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="sweep a parameter grid to CSV")
     p_scan.add_argument("--grid", required=True, help="JSON grid specification")
     p_scan.add_argument("--out", help="write CSV here instead of stdout")
-    p_scan.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
-    )
     p_scan.add_argument("--cap", type=int, default=SCAN_CAP_DEFAULT, help="max grid points")
     p_scan.set_defaults(func=cmd_scan)
     return parser

@@ -24,8 +24,8 @@ from .errors import InvalidStateError, NotInFamilyError
 from .qmath import _EIGENVALUE_CLAMP, _PSD, DensityMatrix, _xlnx_sum, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
 from .states import (
-    _X_PATTERN,
     XStateParams,
+    _off_pattern,
     from_density_matrix,
     to_density_matrix,
     x_state,
@@ -414,9 +414,10 @@ def oracle_ree(
     def objective(x: np.ndarray) -> np.ndarray:
         return _objective_many(x, rm, tr_rho_ln_rho)
 
-    def true_value(w, ka, kb) -> float:
-        sigma = product_mixture_matrix(w, ka, kb)
-        return relative_entropy(rho, DensityMatrix.from_matrix(sigma))
+    def true_value(x: np.ndarray) -> tuple[float, DensityMatrix, tuple]:
+        mixture = _decode(x, k)
+        sigma = DensityMatrix.from_matrix(product_mixture_matrix(*mixture))
+        return relative_entropy(rho, sigma), sigma, mixture
 
     try:
         params = from_density_matrix(rho)
@@ -453,20 +454,17 @@ def oracle_ree(
         f_prev[live] = res.fun
         live = live[improving & (budget[live] > 0)]
 
-    best = None  # (value, mixture, seed index, nfev, converged)
+    best = None  # (value, sigma, mixture, seed index, nfev, converged)
     for index, x0 in enumerate(starts):
-        start_mix = _decode(x0, k)
-        start_val = true_value(*start_mix)
-        if best is None or start_val < best[0]:
-            best = (start_val, start_mix, index, 0, True)
-        end_mix = _decode(x_cur[index], k)
-        end_val = true_value(*end_mix)
-        if end_val < best[0]:
+        start = true_value(x0)
+        if best is None or start[0] < best[0]:
+            best = (*start, index, 0, True)
+        end = true_value(x_cur[index])
+        if end[0] < best[0]:
             nfev = cfg.max_iterations - int(budget[index])
-            best = (end_val, end_mix, index, nfev, bool(succeeded[index]))
+            best = (*end, index, nfev, bool(succeeded[index]))
 
-    value, (w, ka, kb), index, nfev, converged = best
-    sigma = DensityMatrix.from_matrix(product_mixture_matrix(w, ka, kb))
+    value, sigma, (w, ka, kb), index, nfev, converged = best
     return OracleResult(
         ree_upper_bound=value,
         sigma=sigma,
@@ -487,9 +485,7 @@ _EYE2 = np.eye(2, dtype=complex)
 def structure_fingerprint(sigma: DensityMatrix) -> tuple[float, float]:
     """(max off-pattern entry magnitude, max |Bloch x/y component|)."""
     m = sigma.matrix
-    off = max(
-        abs(m[i, j]) for i in range(4) for j in range(4) if (i, j) not in _X_PATTERN
-    )
+    off = max(mag for _, _, mag in _off_pattern(m))
     bloch = max(
         abs(float(np.real(np.trace(m @ np.kron(op_a, op_b)))))
         for op_a, op_b in (
@@ -499,7 +495,7 @@ def structure_fingerprint(sigma: DensityMatrix) -> tuple[float, float]:
             (_EYE2, _PAULI_Y),
         )
     )
-    return float(off), float(bloch)
+    return off, float(bloch)
 
 
 def oracle_validate(

@@ -252,6 +252,12 @@ def ree_from_css(p: XStateParams, c: CssSolution) -> float:
     return tr_rho_ln_rho - cross
 
 
+def _failed(branch: str, problems: list[str], residual_max: float | None = None) -> ReeResult:
+    """The ansatz_failure result of a branch solution that failed a check."""
+    note = "; ".join([f"{branch} solution failed validation", *problems])
+    return ReeResult(None, None, BRANCH_FAILURE, residual_max, note)
+
+
 def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> ReeResult:
     """A branch's result for its CSS: the REE and the largest residual.
 
@@ -261,8 +267,7 @@ def _scored(p: XStateParams, css: CssSolution, branch: str, tol: Tolerances) -> 
         res_a, res_b, res_c, res_d, res_e = css_residuals(css, p, tol)
         ree = ree_from_css(p, css)
     except LogDomainError as exc:
-        note = f"{branch} solution failed validation; CSS validation error: {exc}"
-        return ReeResult(None, None, BRANCH_FAILURE, None, note)
+        return _failed(branch, [f"CSS validation error: {exc}"])
     residual_max = max(abs(res_a), abs(res_b), abs(res_c), abs(res_d), abs(res_e))
     return ReeResult(ree, css, branch, residual_max)
 
@@ -752,17 +757,9 @@ def _validated(
                     f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"
                 )
         if problems:
-            result = ReeResult(
-                None,
-                None,
-                BRANCH_FAILURE,
-                result.residual_max,
-                "; ".join(
-                    [f"{result.branch} solution failed validation"]
-                    + problems
-                    + ([result.diagnostics] if result.diagnostics else [])
-                ),
-            )
+            if result.diagnostics:
+                problems.append(result.diagnostics)
+            result = _failed(result.branch, problems, result.residual_max)
         elif slot is not None:
             # built directly: dataclasses.replace is measurably slower per call
             result = ReeResult(

@@ -233,6 +233,12 @@ def to_density_matrix(p: XStateParams) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def _off_pattern(m: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, |m_ij|) of each entry outside _X_PATTERN, row-major, as Python floats."""
+    cells = [(i, j) for i in range(4) for j in range(4) if (i, j) not in _X_PATTERN]
+    return [(i, j, float(abs(m[i, j]))) for i, j in cells]
+
+
 def from_density_matrix(rho: DensityMatrix) -> XStateParams:
     """Read parameters off a density matrix in the family.
 
@@ -243,14 +249,7 @@ def from_density_matrix(rho: DensityMatrix) -> XStateParams:
     weights get rejected.
     """
     m = rho.matrix
-    offending = []
-    for i in range(4):
-        for j in range(4):
-            if (i, j) in _X_PATTERN:
-                continue
-            mag = float(abs(m[i, j]))
-            if mag >= _FAMILY_SPARSITY:
-                offending.append((i, j, mag))
+    offending = [(i, j, mag) for i, j, mag in _off_pattern(m) if mag >= _FAMILY_SPARSITY]
     if offending:
         desc = ", ".join(f"({i},{j})={mag:.3e}" for i, j, mag in offending)
         raise NotInFamilyError(
@@ -292,12 +291,6 @@ def _projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _basis_projector(index: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[index, index] = 1.0
-    return m
-
-
 def _check_simplex(weights, simplex: float, label: str) -> None:
     _check_finite(weights, label)
     if any(w < -simplex for w in weights):
@@ -321,7 +314,7 @@ RAINS_PARAMS = XStateParams(
 
 
 _BELL = [_projector(bell_ket(k)) for k in (1, 2, 3, 4)]
-_BASIS = [_basis_projector(i) for i in range(4)]
+_BASIS = [_projector(ket) for ket in np.eye(4, dtype=complex)]
 # mixture families: (what the weights are, the matrices they weight, summed
 # left to right)
 _MIXTURES = {
@@ -377,6 +370,6 @@ def named_state(family: str, *params: float) -> DensityMatrix:
                 f"theorem1_example: alpha^2 + beta^2 = {norm!r}, not 1"
             )
         psi = np.array([0.0, alpha, beta, 0.0], dtype=complex)
-        m = p * _projector(psi) + q1 * _basis_projector(1) + q2 * _basis_projector(2)
+        m = p * _projector(psi) + q1 * _BASIS[1] + q2 * _BASIS[2]
         return DensityMatrix.from_matrix(m)
     raise InvalidStateError(f"unknown state family {family!r}")

@@ -153,6 +153,16 @@ class TestSelftest:
         _, out, _ = run_cli(capsys, "selftest")
         assert "0.381944444444" in out  # 55/144
 
+    def test_failed_check_is_reported_and_exits_invalid(self, capsys, monkeypatch):
+        rows = [("off by one", 1.0, 2.0, 1e-12), ("branch label", "theorem1", "theorem1", 0.0)]
+        monkeypatch.setattr(cli, "_selftest_rows", lambda: rows)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == EXIT_INVALID
+        lines = out.splitlines()
+        assert lines[2].startswith("off by one") and lines[2].endswith("FAIL")
+        assert lines[3].startswith("branch label") and lines[3].endswith("pass")
+        assert lines[-1] == "1/2 checks passed"
+
 
 class TestOracleCommand:
     def test_rains_comparison_and_determinism(self, capsys):
@@ -230,12 +240,6 @@ class TestScan:
         _, out2, _ = run_cli(capsys, "scan", "--grid", grid)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        grid = self.line_grid(tmp_path)
-        _, out1, _ = run_cli(capsys, "scan", "--grid", grid)
-        _, out2, _ = run_cli(capsys, "scan", "--grid", grid, "--threads", "4")
-        assert out1 == out2
-
     def test_raw_grid_d_zero_slice_separable(self, tmp_path, capsys):
         path = tmp_path / "raw.json"
         path.write_text(
@@ -289,6 +293,41 @@ class TestScan:
             code, _, err = run_cli(capsys, "scan", "--grid", str(path), "--cap", "1000")
             assert code == EXIT_INVALID
             assert "cap" in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--bogus"),
+            ("compute", "--seed", "x"),
+            ("scan",),
+            ("scan", "--grid", "grid.json", "--threads", "4"),
+        ],
+        ids=["unknown-flag", "bad-int", "missing-grid", "removed-threads"],
+    )
+    def test_usage_error_exits_invalid(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: xree ")
+        assert captured.err.count("error:") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("compute", "--help")])
+    def test_help_exits_ok(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: xree")
+
+    def test_help_states_the_exit_codes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "exit codes: 0 success; 1 invalid input" in text
+        assert "2 ansatz failure" in text
 
 
 class TestToleranceOverride:

@@ -112,6 +112,22 @@ class TestReeFromCss:
         with pytest.raises(LogDomainError, match="middle block not positive definite"):
             ree_from_css(p, css_solution(0.0, r, r, 0.0, 0.0, 0.0, 0.0))
 
+    def test_weight_outside_css_support_is_named(self):
+        # y = sqrt(r2 r3) leaves the CSS middle block with m- = 0, where rho
+        # still has weight c- = 0.15
+        p = x_state(0.25, 0.25, 0.25, 0.25, 0.1)
+        css = css_solution(0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
+        with pytest.raises(LogDomainError, match="c- ln m-: weight .* outside CSS support"):
+            ree_from_css(p, css)
+
+    def test_weight_below_the_support_leak_still_counts(self):
+        # c- is about 5e-11, inside (0, _SUPPORT_LEAK]: its term c- ln m-,
+        # about -1.2e-10, is kept where the CSS has support
+        p = x_state(0.1, 0.4, 0.4, 0.1, 0.4 - 5e-11)
+        css = css_solution(0.2, 0.3, 0.3, 0.2, 0.2, 0.0, 0.0)
+        spectral = relative_entropy(to_density_matrix(p), css_to_density_matrix(css))
+        assert ree_from_css(p, css) == pytest.approx(spectral, abs=1e-12)
+
 
 class TestTheorem1:
     def test_worked_example(self):

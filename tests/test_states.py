@@ -243,6 +243,18 @@ class TestNamedStates:
         with pytest.raises(InvalidStateError):
             named_state("werner", 0.5)
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("rains", (0.1,), "takes no parameters"),
+            ("theorem1_example", (0.5, 0.6, 0.8), "requires"),
+            ("theorem1_example", (0.5, 0.6, 0.6, 0.3, 0.2), "alpha\\^2 \\+ beta\\^2"),
+        ],
+    )
+    def test_bad_parameters_rejected(self, family, params, message):
+        with pytest.raises(InvalidStateError, match=message):
+            named_state(family, *params)
+
 
 class TestValidation:
     def test_coherence_cap(self):
@@ -257,3 +269,17 @@ class TestValidation:
         bad = np.eye(4, dtype=complex)
         with pytest.raises(InvalidStateError):
             DensityMatrix.from_matrix(bad)  # trace 4
+
+    def test_non_hermitian_matrix_rejected(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = 0.1
+        with pytest.raises(InvalidStateError, match="not Hermitian"):
+            DensityMatrix.from_matrix(m)
+
+    def test_negative_coherence_rejected(self):
+        with pytest.raises(InvalidStateError, match="coherence magnitude .* is negative"):
+            x_state(0.25, 0.25, 0.25, 0.25, -0.1)
+
+    def test_negative_bloch_coherence_rejected(self):
+        with pytest.raises(InvalidStateError, match="shift phi by pi"):
+            x_state_from_bloch(BlochZParams(r=0.0, s=0.0, g_x=-0.2, g_z=0.0))
