@@ -454,11 +454,8 @@ def cmd_selftest(args) -> int:
 
 
 def _axis_count(spec) -> int:
-    if isinstance(spec, (int, float)):
-        return 1
-    if isinstance(spec, list):
-        return len(spec)
-    return int(spec["count"])
+    """The points of an axis; a range is counted before it is built."""
+    return int(spec["count"]) if isinstance(spec, dict) else len(_axis_values(spec))
 
 
 def _axis_values(spec) -> list[float]:
@@ -576,7 +573,7 @@ def _add_state_flags(parser: argparse.ArgumentParser) -> None:
 def _add_oracle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
     parser.add_argument("--restarts", type=int, default=8, help="random restarts")
-    parser.add_argument("--terms", type=int, default=16, help="product terms K")
+    parser.add_argument("--terms", type=int, default=16, help="product terms K, 4 to 16")
     parser.add_argument(
         "--iterations", type=int, default=2000, help="objective evaluations per seed"
     )
@@ -586,6 +583,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error is invalid input: EXIT_INVALID, not 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser runs this too: each reports its unknowns with its usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,15 +7,17 @@ compute path (compute_ree, compute_ree_many, solve_theorem1/2/3,
 css_residuals, css_to_x_params, x_state) as tol, setting the validation
 and solver bounds and simplex one at a time (a negative simplex fails the
 CSS check of a solution); the benchmark sets root_grid_points. Any other
-reader calls default_tolerances(). simplex, the slack of input weights,
-is read in three modules. A threshold nothing sets is a constant of the
-one module that reads it, and an override file naming one exits as an
-unknown field.
+reader calls default_tolerances(), which caches them until
+reset_tolerance_cache() (a failed read of the file caches nothing).
+simplex, the slack of input weights, is read in three modules. A
+threshold nothing sets is a constant of the one module that reads it,
+and an override file naming one exits as an unknown field.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -72,19 +74,12 @@ class Tolerances:
         return cls(**raw)
 
 
-_cached: Tolerances | None = None
-
-
+@functools.cache
 def default_tolerances() -> Tolerances:
     """Return the process-wide tolerances, honoring REE_TOL_OVERRIDE."""
-    global _cached
-    if _cached is None:
-        path = os.environ.get(_ENV_VAR)
-        _cached = Tolerances.from_file(path) if path else Tolerances()
-    return _cached
+    path = os.environ.get(_ENV_VAR)
+    return Tolerances.from_file(path) if path else Tolerances()
 
 
-def reset_tolerance_cache() -> None:
-    """Drop the cached tolerances (re-reads the environment on next use)."""
-    global _cached
-    _cached = None
+# the next default_tolerances() call reads the environment again
+reset_tolerance_cache = default_tolerances.cache_clear

@@ -182,8 +182,8 @@ def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
 class OracleConfig:
     """Knobs of the brute-force minimizer.
 
-    num_product_terms is the mixture size K (at least 4; the default 16 is
-    the Caratheodory bound for the 15-dimensional two-qubit state space).
+    num_product_terms is the mixture size K, 4 to 16: by the Caratheodory
+    bound any separable two-qubit state mixes at most 16 product states.
     max_iterations caps the objective evaluations per seed (at least 1);
     restarts counts the random seeds on top of the deterministic ones (0 or
     more), drawn from rng_seed (0 or more). A deterministic warm start that
@@ -198,8 +198,8 @@ class OracleConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.num_product_terms < 4:
-            raise InvalidStateError("num_product_terms must be at least 4")
+        if not 4 <= self.num_product_terms <= 16:
+            raise InvalidStateError("num_product_terms must be from 4 to 16")
         if self.max_iterations < 1:
             raise InvalidStateError("max_iterations must be at least 1")
         if self.restarts < 0:

@@ -204,10 +204,10 @@ def ree_from_css(p: XStateParams, c: CssSolution) -> float:
         c+- = (a2 + a3)/2 +- [(a2 - a3)(r2 - r3) + 4 d y] / (2 z)
 
     the overlaps of rho with the block eigenprojectors, the term is
-    c+ ln m+ + c- ln m-. A vanishing m- is allowed only when c- vanishes
-    too (supports nested), applying the 0 ln 0 convention; otherwise the
-    offending term is reported. For z below the series switch the
-    algebraically identical form
+    c+ ln m+ + c- ln m-. A vanishing m- (or r1, r4) is allowed only when
+    c- (or a1, a4) is at most _SUPPORT_LEAK (supports nested), applying the
+    0 ln 0 convention; otherwise the offending term is reported. For z
+    below the series switch the algebraically identical form
     (a2+a3)/2 ln(r2 r3 - r1 r4) + odd * ell/z is used instead.
     """
     a_plus, a_minus = input_spectrum_pair(p)
@@ -215,11 +215,12 @@ def ree_from_css(p: XStateParams, c: CssSolution) -> float:
 
     cross = 0.0
     for pop, r, label in ((p.a1, c.r1, "a1 ln r1"), (p.a4, c.r4, "a4 ln r4")):
-        if pop > _EIGENVALUE_CLAMP:
-            if r <= 0.0:
+        if r <= 0.0:
+            if pop > _SUPPORT_LEAK:
                 raise LogDomainError(
                     f"term {label}: population {pop!r} outside CSS support"
                 )
+        elif pop > _EIGENVALUE_CLAMP:
             cross += pop * math.log(r)
 
     u = c.r2 - c.r3
@@ -693,27 +694,26 @@ def _validated(
 
     Each matrix is built once, by states._family_matrices: rho from the
     state, checked on entry to compute_ree_many, and pi from its CSS,
-    checked by css_to_x_params. A branch solution stacks PT(pi), rho and
-    pi; a separable result stacks its state's partial transpose. One
-    _family_matrices call builds the whole stack in its final order, the
-    partial transposes directly, with no partial_transpose call, and forms
-    the entries of each pi once for PT(pi) and pi. The edge eigenvalue and
-    the spectral relative entropy are read off the stack as min_eig_pt and
-    relative_entropy compute them, and the edge eigenvalue of an accepted
-    result is kept as its edge_min_eig. The eigenvalues of the whole stack
-    and the dual-path weights of every solution are each read into Python
-    floats by one tolist().
+    checked by css_to_x_params. The stack holds, in input order, PT(pi) of
+    each branch solution or PT of each separable state, then each
+    solution's rho, then its pi. One _family_matrices call builds it, the
+    partial transposes directly, with no partial_transpose call. The edge
+    eigenvalue and the spectral relative entropy are read off the stack as
+    min_eig_pt and relative_entropy compute them, and the edge eigenvalue
+    of an accepted result is kept as its edge_min_eig. The eigenvalues of
+    the whole stack and the dual-path weights of every solution are each
+    read into Python floats by one tolist().
     """
-    pis: list[XStateParams] = []  # the CSS of each branch solution
-    rhos: list[XStateParams] = []  # its state
-    separable: list[XStateParams] = []
-    checks = []  # (result, problems, its index in pis or in separable, or None)
+    transposed: list[XStateParams] = []  # the CSS of each solution or each separable state
+    rhos: list[XStateParams] = []  # the state of each solution
+    pis: list[XStateParams] = []  # its CSS
+    checks = []  # (result, problems, its index in transposed, or None)
     for p, result in zip(ps, results):
         problems: list[str] = []
         slot = None
         if result.branch == BRANCH_SEPARABLE:
-            slot = len(separable)
-            separable.append(p)
+            slot = len(transposed)
+            transposed.append(p)
         elif result.branch != BRANCH_FAILURE:
             if result.residual_max is None or result.residual_max > tol.residual_validation:
                 problems.append(f"coupled-equation residual {result.residual_max!r}")
@@ -725,33 +725,29 @@ def _validated(
             except InvalidStateError as exc:
                 problems.append(f"CSS validation error: {exc}")
             else:
-                slot = len(pis)
-                pis.append(pi)
+                slot = len(transposed)
+                transposed.append(pi)
                 rhos.append(p)
+                pis.append(pi)
         checks.append((result, problems, slot))
-    # stack: PT(pi) of each solution, PT of each separable state, then each
-    # solution's rho, then its pi
-    k = len(pis)
-    n = k + len(separable)
+    n = len(transposed)
+    k = len(rhos)
     if n:
-        stack = _family_matrices(pis + separable + rhos, transposed=n, repeated=k)
+        stack = _family_matrices(transposed + rhos + pis, transposed=n)
         # looked up on the module, so a wrapper set on qmath sees the call
         eig = qmath.hermitian_eig(stack)
         values = eig.values.tolist()
     if k:  # the weights <v_j|rho|v_j> of the eigenvectors v_j of every pi, from one product
         weights = _sigma_weights(eig.vectors[n + k :], stack[n : n + k]).tolist()
     out = []
+    j = 0  # the next solution's place in rhos and pis
     for result, problems, slot in checks:
-        edge = None
-        if result.branch == BRANCH_SEPARABLE:
-            edge = values[k + slot][0]
-        elif slot is not None:
-            edge = values[slot][0]
+        edge = None if slot is None else values[slot][0]
+        if slot is not None and result.branch != BRANCH_SEPARABLE:
             if abs(edge) > tol.edge_validation:
                 problems.append(f"partial-transpose edge eigenvalue {edge:.3e}")
-            dual = _relative_entropy_weights(
-                values[n + slot], values[n + k + slot], weights[slot]
-            )
+            dual = _relative_entropy_weights(values[n + j], values[n + k + j], weights[j])
+            j += 1
             if not math.isfinite(dual) or abs(dual - result.ree) > tol.dual_path_validation:
                 problems.append(
                     f"parametric REE {result.ree!r} vs spectral {dual!r} disagree"

@@ -184,7 +184,7 @@ def x_state_from_bloch(b: BlochZParams) -> XStateParams:
     return x_state(*pops, d=max(0.0, d), phi=b.phi)
 
 
-def _family_matrices(ps, transposed: int = 0, repeated: int = 0) -> np.ndarray:
+def _family_matrices(ps, transposed: int = 0) -> np.ndarray:
     """The (n, 4, 4) matrices of family members, with no validity check.
 
     Callers pass states that have passed _check_state. The entries are
@@ -198,13 +198,8 @@ def _family_matrices(ps, transposed: int = 0, repeated: int = 0) -> np.ndarray:
     The first `transposed` matrices come out partially transposed, bit for
     bit as partial_transpose makes them: it only moves entries, so their
     entries are taken in the order _PT_ORDER.
-
-    The first `repeated` states come again after the last one, not
-    transposed: each state's 16 entries are formed once, even when the
-    stack holds its matrix twice.
     """
     entries = []
-    again = []
     for i, p in enumerate(ps):
         coh = p.d * cmath.exp(1j * p.phi)
         low = coh.conjugate()
@@ -214,10 +209,8 @@ def _family_matrices(ps, transposed: int = 0, repeated: int = 0) -> np.ndarray:
             0j, _HALF * (low + low), p.a3, 0j,
             0j, 0j, 0j, p.a4,
         )
-        if i < repeated:
-            again += row
         entries += _PT_ORDER(row) if i < transposed else row
-    return np.array(entries + again, dtype=complex).reshape(-1, 4, 4)
+    return np.array(entries, dtype=complex).reshape(-1, 4, 4)
 
 
 def to_density_matrix(p: XStateParams) -> DensityMatrix:

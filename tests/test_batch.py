@@ -85,6 +85,28 @@ def test_batch_with_several_validated_roots():
     assert sum("validated roots; kept minimal REE" in r.diagnostics for r in batch) > 10
 
 
+def test_solutions_that_fail_the_css_check_leave_the_stack(monkeypatch):
+    # a solution whose CSS fails css_to_x_params has no matrices in the
+    # validation stack, so the states after it in a chunk take other places
+    real = ree_module.css_to_x_params
+
+    def refuse_theorem1(c, tol=None):
+        if c.r1 == 0.0 and c.r4 == 0.0:  # only a theorem1 CSS has no outer weight
+            raise InvalidStateError("theorem1 CSS refused")
+        return real(c, tol)
+
+    monkeypatch.setattr(ree_module, "CHUNK", 16)
+    monkeypatch.setattr(ree_module, "css_to_x_params", refuse_theorem1)
+    states = mixed_states(17)
+    batch = compute_ree_many(states)
+    assert reprs(batch) == reprs(compute_ree(p) for p in states)
+    theorem1 = [r for p, r in zip(states, batch) if ree_module._branch_of(p) == BRANCH_THEOREM1]
+    assert theorem1 and all("theorem1 CSS refused" in r.diagnostics for r in theorem1)
+    assert {r.branch for r in batch} == {
+        BRANCH_SEPARABLE, BRANCH_THEOREM2, BRANCH_THEOREM3, BRANCH_FAILURE,
+    }
+
+
 def test_edge_min_eig_is_set_exactly_with_a_css():
     for result in compute_ree_many(mixed_states(14)):
         assert (result.edge_min_eig is None) == (result.css is None)

@@ -315,6 +315,24 @@ class TestUsage:
         assert captured.err.startswith("usage: xree ")
         assert captured.err.count("error:") == 1 and captured.err.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "argv, prog, unknown",
+        [
+            (("compute", "--bogus"), "xree compute", "--bogus"),
+            (("scan", "--grid", "grid.json", "--threads", "4"), "xree scan", "--threads 4"),
+            (("--bogus", "compute", "--family", "rains"), "xree", "--bogus"),
+        ],
+        ids=["compute", "scan", "top-level"],
+    )
+    def test_unknown_flag_gets_its_own_parsers_usage(self, capsys, argv, prog, unknown):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h] ")
+        assert err.count("error:") == 1
+        assert err.endswith(f"{prog}: error: unrecognized arguments: {unknown}\n")
+
     @pytest.mark.parametrize("argv", [("--help",), ("compute", "--help")])
     def test_help_exits_ok(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -408,6 +426,13 @@ class TestOracleBudgets:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("terms", ["17", "100000000000"])
+    def test_terms_above_sixteen_exit_invalid(self, capsys, terms):
+        # no array of that many terms is allocated
+        code, out, err = run_cli(capsys, "oracle", "--family", "rains", "--terms", terms)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: num_product_terms") and err.count("\n") == 1
 
 
 class TestUnreadablePaths:

@@ -528,3 +528,11 @@ class TestOracleConfigBudgets:
     def test_no_random_restarts_is_allowed(self):
         cfg = OracleConfig(restarts=0, max_iterations=1)
         assert (cfg.restarts, cfg.max_iterations) == (0, 1)
+
+    def test_terms_above_the_caratheodory_bound_rejected(self):
+        # 16 product states suffice for any separable two-qubit state
+        with pytest.raises(InvalidStateError, match="num_product_terms"):
+            OracleConfig(num_product_terms=17)
+        cfg = OracleConfig(num_product_terms=16, restarts=0, max_iterations=50)
+        result = oracle_ree(to_density_matrix(RAINS_PARAMS), cfg)
+        assert result.weights.shape == (16,)

@@ -161,6 +161,20 @@ class TestTheorem1:
         p = x_state(0.0, 0.5, 0.5, 0.0, 0.3)
         assert solve_theorem1(p).css.x == pytest.approx(2.0 * 0.3 / 0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [2e-15, 1e-13, 9.9e-13])
+    @pytest.mark.parametrize("outer", ["a1", "a4"])
+    def test_tiny_outer_population_validates(self, eps, outer):
+        # below _BRANCH_ZERO the state routes to theorem1, whose CSS has
+        # r1 = r4 = 0; the weight eps outside its support is below
+        # _SUPPORT_LEAK, as the dual path counts it
+        pops = {"a1": 0.0, "a4": 0.0, outer: eps}
+        p = x_state(pops["a1"], 0.6 - eps, 0.4, pops["a4"], 0.3)
+        result = compute_ree(p)
+        assert result.branch == BRANCH_THEOREM1, result.diagnostics
+        assert result.edge_min_eig == 0.0
+        limit = compute_ree(x_state(0.0, 0.6, 0.4, 0.0, 0.3)).ree
+        assert abs(result.ree - limit) <= 1e-10
+
 
 class TestTheorem2:
     def test_horodecki_reduction(self):

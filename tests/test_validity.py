@@ -140,10 +140,6 @@ class TestMatrixIsUnchanged:
         for k in (0, 1, len(ps) // 2, len(ps)):
             got = states_module._family_matrices(ps, transposed=k)
             assert got.tobytes() == np.concatenate((transposed[:k], plain[k:])).tobytes()
-            # the repeated states come again at the end, not transposed
-            got = states_module._family_matrices(ps, transposed=k, repeated=k // 2 + 1)
-            want = (transposed[:k], plain[k:], plain[: k // 2 + 1])
-            assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 # state, branch, and the _check_state and to_density_matrix calls of one
