@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""sha256 digests of what xree emits, to show that a change keeps every byte.
+
+Run from the root of a checkout (it imports xree from that checkout's src):
+
+    python3 scripts/emitted_digests.py --draws 600
+
+It prints one JSON object, each value the sha256 of:
+
+  selftest             the selftest output and exit code
+  scan:<grid>          the scan of each committed grid: stdout, stderr, exit code
+  compute:<state>      the compute --bits document without elapsed, stderr
+                       and exit code, for each of STATES
+  oracle:<state>:<seed>  the seeded oracle document, stderr and exit code,
+                       for Rains' state and the failure state
+  compute_ree_many     the repr of compute_ree_many on --draws seeded states
+                       of each branch, shuffled, then of compute_ree on
+                       every seventh state alone
+
+Two checkouts are compared by running the script in each: equal digests
+mean equal bytes. It needs no other file of scripts/, so a copy of it runs
+in a checkout of an older commit too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from xree import cli, ree  # noqa: E402
+
+GRIDS = sorted((ROOT / "grids").glob("*.json"))
+RAINS = ("--family", "rains")
+FAILURE = ("--family", "theorem3_example:0.66,0.05,0.07,0.04,0.18")
+STATES = {
+    "rains": RAINS,
+    "vp": ("--family", "vp:0.5,0.3,0.2"),
+    "horodecki": ("--family", "horodecki:0.6,0.25,0.15"),
+    "six_digit": ("--family", "theorem3_example:0.66,0.16,0.03,0.06,0.09"),
+    "failure": FAILURE,  # exit 2
+    "params_phi": ("--params", "0.1,0.4,0.3,0.2,0.25,0.7"),
+    "params_theorem2": ("--params", "0.1,0.35,0.35,0.2,0.3"),
+    "bell_diagonal": ("--family", "bell_diagonal:0.1,0.2,0.6,0.1"),  # exit 1
+}
+DRAW_SEED = 30
+
+
+def run(*argv: str) -> tuple[int, str, str]:
+    """cli.main on argv: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_elapsed(text: str) -> str:
+    """A JSON document without its elapsed field, re-serialised; other text as it is."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return text
+    if isinstance(doc, dict):
+        doc.pop("elapsed", None)
+    return json.dumps(doc, sort_keys=True)
+
+
+def digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def draw(rng: random.Random, branch: str):
+    """One state of branch, drawn as scripts/t3_layers.py draws; theorem1 has a1 = a4 = 0.0."""
+    while True:
+        w = [rng.expovariate(1.0) for _ in range(4)]
+        if branch == ree.BRANCH_THEOREM1:
+            w[0] = w[3] = 0.0
+        elif branch == ree.BRANCH_THEOREM2:
+            w[1] = w[2] = 0.5 * (w[1] + w[2])
+        total = math.fsum(w)  # correctly rounded on every Python version
+        a1, a2, a3, a4 = (v / total for v in w)
+        lo, hi = math.sqrt(a1 * a4), math.sqrt(a2 * a3)
+        if branch == ree.BRANCH_SEPARABLE:
+            d = rng.uniform(0.0, 1.0) * min(lo, hi)
+        elif hi > 1.05 * lo:
+            d = lo + rng.uniform(0.05, 0.95) * (hi - lo)
+        else:
+            continue
+        phi = rng.uniform(-math.pi, math.pi) if rng.random() < 0.5 else 0.0
+        p = ree.x_state(a1, a2, a3, a4, d, phi)
+        if ree._branch_of(p) == branch:
+            return p
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--draws", type=int, default=600, help="seeded states per branch")
+    args = parser.parse_args()
+    out = {"selftest": digest(*run("selftest"))}
+    for grid in GRIDS:
+        out[f"scan:{grid.name}"] = digest(*run("scan", "--grid", str(grid)))
+    for name, flags in STATES.items():
+        code, text, err = run("compute", *flags, "--bits")
+        out[f"compute:{name}"] = digest(code, without_elapsed(text), err)
+    for name, flags in (("rains", RAINS), ("failure", FAILURE)):
+        for seed in ("0", "7"):
+            out[f"oracle:{name}:{seed}"] = digest(*run("oracle", *flags, "--seed", seed))
+    rng = random.Random(DRAW_SEED)
+    branches = [ree.BRANCH_THEOREM1, ree.BRANCH_THEOREM2, ree.BRANCH_THEOREM3]
+    states = [draw(rng, b) for b in branches + [ree.BRANCH_SEPARABLE] for _ in range(args.draws)]
+    rng.shuffle(states)
+    alone = [ree.compute_ree(p) for p in states[::7]]
+    out["compute_ree_many"] = digest(ree.compute_ree_many(states), alone)
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -263,14 +263,17 @@ def separable_x_decomposition(p: XStateParams) -> tuple[np.ndarray, np.ndarray, 
     relative phases average out every coherence except the (|01>, |10>)
     pair; diagonal leftovers complete the populations. Requires
     d <= sqrt(a1 a4) (PPT), which every closed-form CSS satisfies with
-    equality.
+    equality. It decomposes the coherence y = min(d, sqrt(a1 a4),
+    sqrt(a2 a3)): d on a separable state, and inside the slacks of the
+    PPT and PSD tests the nearest coherence that keeps the state PSD and
+    PPT, so no leftover is negative and no ratio divides by zero.
     """
     r1, r2, r3, r4 = p.diag()
-    y = p.d
-    if y * y > r1 * r4 + _PSD:
+    if p.d * p.d > r1 * r4 + _PSD:
         raise InvalidStateError(
             "state is entangled (d^2 > a1 a4); no product decomposition exists"
         )
+    y = min(p.d, math.sqrt(r1 * r4), math.sqrt(r2 * r3))
     weights: list[float] = []
     kets_a: list[np.ndarray] = []
     kets_b: list[np.ndarray] = []

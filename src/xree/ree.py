@@ -16,8 +16,8 @@ quantities
 
 Three solver branches cover the family:
   theorem1:  a1 = a4 = 0 (no outer population) -- fully closed form;
-  theorem2:  a2 = a3 (symmetric middle block)  -- closed form with one
-             sign resolved by a quadratic side condition;
+  theorem2:  a2 = a3 (symmetric middle block)  -- closed form, the root
+             of its quadratic that lies in (a1, a1 + a2);
   theorem3:  the general case -- reduces to a single transcendental
              equation in r1, solved by a bracketing grid plus bisection.
 
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .errors import InvalidStateError, LogDomainError, NumericalError, WrongBranchError
+from .errors import InvalidStateError, LogDomainError, WrongBranchError
 from . import qmath
 from .qmath import (
     _EIGENVALUE_CLAMP, _SUPPORT_LEAK, _relative_entropy_weights, _sigma_weights, _xlnx,
@@ -69,7 +69,6 @@ _BRANCH_ZERO = 1e-12
 _BRANCH_EQUAL = 1e-12
 
 _SERIES_Z_SWITCH = 1e-6
-_QUADRATIC_SIGN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -294,7 +293,9 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 
     The CSS is the decohered middle diagonal, pi = a2 |01><01| + a3 |10><10|,
     so REE = H(a2) - H(A+) with A+ the larger middle-block eigenvalue of
-    the input; ree_from_css evaluates it.
+    the input; ree_from_css evaluates it. Outer populations below
+    _BRANCH_ZERO join the middle, r2 = a2 + a1 and r3 = a3 + a4, so pi has
+    unit trace.
     """
     tol = tol or default_tolerances()
     if (branch := _branch_of(p)) != BRANCH_THEOREM1:
@@ -304,7 +305,7 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
         x = (2.0 * p.d / gap) * math.log(max(p.a2, p.a3) / min(p.a2, p.a3))
     else:
         x = 2.0 * p.d / p.a2
-    css = css_solution(0.0, p.a2, p.a3, 0.0, 0.0, p.phi, x)
+    css = css_solution(0.0, p.a2 + p.a1, p.a3 + p.a4, 0.0, 0.0, p.phi, x)
     return _scored(p, css, BRANCH_THEOREM1, tol)
 
 
@@ -314,40 +315,29 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     With F = 2 (a1+a2+a4+d)(a1+a2+a4-d) and
     Delta = d sqrt(d^2 (a1-a4)^2 + 4 a1 a4 (a1+a2)(a2+a4)), the populations
 
-      r1 = [2 a1 (a1+a2)(a1+a2+a4) - d^2 (a1-a4) +- Delta] / F
-      r4 = r1 - (a1 - a4),   r2 = r3 = a1 + a2 - r1,   y = sqrt(r1 r4)
+      r1 = [2 a1 (a1+a2)(a1+a2+a4) - d^2 (a1-a4) + Delta] / F
+      r4 = r1 - (a1 - a4),   r2 = r3 = a1 + a2 - r1,   y = sqrt(r1 r4).
 
-    where the sign is fixed by the side condition
-    y^2 - d y + r2 (r1 - a1) = 0. ree_from_css evaluates the REE.
+    The side condition y^2 - d y + r2 (r1 - a1) = 0 is d y = L(r1), with
+    L = (a1+a2+a4) r1 - a1 (a1+a2). Squared, P = L^2 - d^2 r1 r4 = 0 has the
+    roots r1 with +-Delta and leads with F/2 > 0. With b = (a1+a2)(a2+a4),
+    P(a1) = a1 a4 (a1 a4 - d^2) <= 0 < P(a1+a2) = b (b - d^2) on an entangled
+    state, so the + root lies in (a1, a1 + a2): the one root with x > 0,
+    where L > 0 solves the unsquared condition and r1, r2, r4 > 0. A
+    population that rounding leaves non-positive fails validation.
     """
     tol = tol or default_tolerances()
     if (branch := _branch_of(p)) != BRANCH_THEOREM2:
         raise WrongBranchError(f"theorem2 does not apply: {p!r} is {branch}")
     a1, a2, a4, d = p.a1, p.a2, p.a4, p.d
     f_norm = 2.0 * (a1 + a2 + a4 + d) * (a1 + a2 + a4 - d)
-    delta = d * math.sqrt(
-        d * d * (a1 - a4) ** 2 + 4.0 * a1 * a4 * (a1 + a2) * (a2 + a4)
-    )
-    base = 2.0 * a1 * (a1 + a2) * (a1 + a2 + a4) - d * d * (a1 - a4)
-    best = None
-    for sign in (1.0, -1.0):
-        r1 = (base + sign * delta) / f_norm
-        r4 = r1 - (a1 - a4)
-        r2 = a1 + a2 - r1
-        if r1 <= 0.0 or r4 <= 0.0 or r2 <= 0.0:
-            continue
-        y = math.sqrt(r1 * r4)
-        quad = abs(y * y - d * y + r2 * (r1 - a1))
-        if best is None or quad < best[0]:
-            best = (quad, r1, r2, r4, y)
-    if best is None or best[0] > _QUADRATIC_SIGN:
-        raise NumericalError(
-            "no sign choice satisfies the quadratic side condition "
-            f"y^2 - d y + r2 (r1 - a1) = 0 (best residual: "
-            f"{best[0] if best else math.inf!r}); this should be unreachable "
-            f"for valid symmetric inputs: {p!r}"
-        )
-    _, r1, r2, r4, y = best
+    delta = d * math.sqrt(d * d * (a1 - a4) ** 2 + 4.0 * a1 * a4 * (a1 + a2) * (a2 + a4))
+    r1 = (2.0 * a1 * (a1 + a2) * (a1 + a2 + a4) - d * d * (a1 - a4) + delta) / f_norm
+    r4 = r1 - (a1 - a4)
+    r2 = a1 + a2 - r1
+    if r1 <= 0.0 or r4 <= 0.0 or r2 <= 0.0:
+        return _failed(BRANCH_THEOREM2, [f"non-positive population in {(r1, r2, r4)!r}"])
+    y = math.sqrt(r1 * r4)
     css = css_solution(r1, r2, r2, r4, y, p.phi, _multiplier(r1, r4, a1))
     return _scored(p, css, BRANCH_THEOREM2, tol)
 
@@ -406,17 +396,18 @@ def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
 
 
 def _t3_values(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
-    """The reduction f(r1), its candidate (r2, r3, r4, y) and where it is defined.
+    """The reduction f(r1) and its candidate (r2, r3, r4, y).
 
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    Returns (f, r2, r3, r4, y, ok); f is nan where ok is false. r1, sign
-    (+1 or -1, the branch of the (r2, r3) quadratic) and the columns c
-    broadcast, with one state per entry of r1. The root grid passes B
-    windows as r1 (B, W) with sign (2, 1, 1), one block per branch; the
-    bisection and the root filters pass r1 and sign (K,), one entry per
-    bracket. r4 and y take the shape of r1, the rest the common shape.
+    Returns (f, r2, r3, r4, y); f is nan unless the candidate is feasible
+    with r2, r3 > 0, s > z (so y^2 < r2 r3) and a non-zero denominator.
+    r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and the
+    columns c broadcast, one state per entry of r1: the root grid passes
+    B windows as r1 (B, W) with sign (2, 1, 1), one block per branch, the
+    bisection and the root filters r1 and sign (K,), one per bracket. r4
+    and y take the shape of r1, the rest the common shape.
     """
     r4, y, gamma, feasible = _t3_feasible(r1, c)
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
@@ -431,7 +422,7 @@ def _t3_values(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.nd
         ok = feasible & (r2 > 0.0) & (r3 > 0.0) & (s > z) & (den != 0.0)
         ell = np.log((s + z) / np.where(ok, s - z, np.nan))
         f = ell - z * (r1 - c.a1) * u * u / np.where(ok, den, np.nan)
-    return f, r2, r3, r4, y, ok
+    return f, r2, r3, r4, y
 
 
 def _t3_equation(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> np.ndarray:
@@ -585,23 +576,19 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     """solve_theorem3 of each theorem3 state, all brackets in one _bisect_t3 call.
 
     The polished roots of all states then pass one array pass of the root
-    filters: a root is kept when |f| <= root_value_cap (a nan marks a
-    failed bisection, a large value a pole), its candidate is feasible, it
-    meets the sign side condition and its middle block is PSD.
+    filters, |f| <= root_value_cap and the sign side condition. The cap is
+    finite, so it drops a nan (a failed bisection, or a candidate that is
+    infeasible or not PSD) and a large value (a pole).
     """
     table = _t3_table(ps)
     a, b, fa, sign, owner = _t3_grid(table, tol)
     columns = table[:, owner]
     c = _T3Constants(*columns)
     roots = _bisect_t3(a, b, fa, sign, columns, tol)
-    fval, r2, r3, r4, y, ok = _t3_values(roots, sign, c)
+    fval, r2, r3, r4, y = _t3_values(roots, sign, c)
     side = (r2 - r3) * (c.a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
-    keep = np.flatnonzero(
-        (np.abs(fval) <= tol.root_value_cap)
-        & ok
-        & ~(np.abs(side) > tol.sign_residual)
-        & ~(y * y > r2 * r3 + tol.y_edge)
-    )
+    capped = np.abs(fval) <= tol.root_value_cap
+    keep = np.flatnonzero(capped & (np.abs(side) <= tol.sign_residual))
     rows = np.stack([roots, r2, r3, r4, y], axis=1)[keep].tolist()
     kept: list[list] = [[] for _ in ps]
     for k, row in zip(owner[keep].tolist(), rows):

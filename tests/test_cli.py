@@ -197,6 +197,17 @@ class TestOracleCommand:
         validate_output(doc, "oracle_output.schema.json")
         assert len(doc["weights"]) == int(terms)
 
+    def test_state_inside_the_ppt_slack_runs(self, capsys):
+        # compute calls it separable with d^2 = 1e-14 against a1 a4 = 0
+        code, out, err = run_cli(
+            capsys, "oracle", "--params", "0.5,0.25,0.25,0,1e-7",
+            "--restarts", "1", "--terms", "8", "--iterations", "100",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        validate_output(doc, "oracle_output.schema.json")
+        assert doc["closed"]["branch"] == "separable"
+
     def test_bell_close_to_ln2(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--family", "vp:1,0,0", "--seed", "3",
@@ -759,6 +770,17 @@ class TestSchemaFastCheck:
         schema = _schema(STATE)
         schema["properties"]["family"]["properties"]["name"][keyword] = value
         doc = {"family": {"name": "rains"}}
+        assert jsonschema.Draft7Validator(schema).is_valid(doc)
+        assert not _accepts(doc, schema)
+
+    @pytest.mark.parametrize(
+        "schema, doc",
+        [
+            pytest.param({"items": True}, [1], id="boolean-subschema"),
+            pytest.param({"properties": {"a": {"$ref": "#"}}}, {"a": {}}, id="ref-to-root"),
+        ],
+    )
+    def test_unchecked_form_leaves_the_verdict_to_jsonschema(self, schema, doc):
         assert jsonschema.Draft7Validator(schema).is_valid(doc)
         assert not _accepts(doc, schema)
 

@@ -72,6 +72,23 @@ class TestProductDecomposition:
             rebuilt = product_mixture_matrix(w, ka, kb)
             assert np.max(np.abs(rebuilt - to_density_matrix(p).matrix)) < 1e-13
 
+    @pytest.mark.parametrize(
+        "params",
+        [(0.5, 0.25, 0.25, 0.0, 1e-7), (0.2, 0.7, 1e-300, 0.1, 1e-7)],
+        ids=["inside-the-ppt-slack", "inside-the-psd-slack"],
+    )
+    def test_coherence_inside_the_slacks_is_projected(self, params):
+        # d is inside the slack of the PPT or the PSD test, so the state
+        # decomposed is the one with d = min(d, sqrt(a1 a4), sqrt(a2 a3))
+        p = x_state(*params)
+        w, ka, kb = separable_x_decomposition(p)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.all(w >= 0.0)
+        a1, a2, a3, a4 = p.diag()
+        projected = x_state(a1, a2, a3, a4, min(p.d, math.sqrt(a1 * a4), math.sqrt(a2 * a3)))
+        rebuilt = product_mixture_matrix(w, ka, kb)
+        assert np.max(np.abs(rebuilt - to_density_matrix(projected).matrix)) < 1e-14
+
     def test_entangled_input_rejected(self):
         with pytest.raises(Exception):
             separable_x_decomposition(RAINS_PARAMS)

@@ -120,6 +120,13 @@ class TestReeFromCss:
         with pytest.raises(LogDomainError, match="c- ln m-: weight .* outside CSS support"):
             ree_from_css(p, css)
 
+    def test_outer_population_outside_css_support_is_named(self):
+        p = x_state(0.1, 0.4, 0.4, 0.1, 0.2)
+        css = css_solution(0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0)
+        message = "term a1 ln r1: population 0.1 outside CSS support"
+        with pytest.raises(LogDomainError, match=message):
+            ree_from_css(p, css)
+
     def test_weight_below_the_support_leak_still_counts(self):
         # c- is about 5e-11, inside (0, _SUPPORT_LEAK]: its term c- ln m-,
         # about -1.2e-10, is kept where the CSS has support
@@ -175,8 +182,75 @@ class TestTheorem1:
         limit = compute_ree(x_state(0.0, 0.6, 0.4, 0.0, 0.3)).ree
         assert abs(result.ree - limit) <= 1e-10
 
+    @pytest.mark.parametrize("a1, a4", [(5e-13, 5e-13), (9.68e-13, 6.9e-14), (9.9e-13, 9.9e-13)])
+    def test_outer_populations_past_the_simplex_slack(self, a1, a4):
+        # each outer population routes to theorem1, but together they are
+        # more than the simplex slack, so the CSS must carry them to keep
+        # unit trace
+        b = (1.0 - a1 - a4) / 2.0
+        result = compute_ree(x_state(a1, b, b, a4, 0.3))
+        assert result.branch == BRANCH_THEOREM1, result.diagnostics
+        limit = compute_ree(x_state(0.0, 0.5, 0.5, 0.0, 0.3)).ree
+        assert abs(result.ree - limit) <= 1e-10
+
+
+def theorem2_edge_states(rng, count):
+    """Seeded theorem2 states at the edges of the closed form.
+
+    Half are Dirichlet draws with outer populations scaled down to 1e-15,
+    half have a1 or a4 down to subnormal; d is near sqrt(a1 a4), inside the
+    entangled range, at a2 (1 - 1e-12) or at a2.
+    """
+    states = []
+    while len(states) < count:
+        if rng.random() < 0.5:
+            a1, _, a4 = rng.dirichlet((1.0, 2.0, 1.0)) * 10.0 ** rng.uniform(-15.0, 0.0, 3)
+        else:
+            tiny = 10.0 ** rng.uniform(-323.3, -3.0)
+            a1, a4 = (tiny, rng.uniform(0.0, 0.4))[:: rng.choice((1, -1))]
+        a1, a4 = float(a1), float(a4)
+        a2 = (1.0 - a1 - a4) / 2.0
+        lo = math.sqrt(a1 * a4 + 2.0 * _ENTANGLEMENT_MARGIN)
+        d = float(rng.choice([
+            lo * (1.0 + 10.0 ** rng.uniform(-12.0, -1.0)),
+            lo + rng.uniform(0.0, 1.0) * (a2 - lo),
+            a2 * (1.0 - 1e-12),
+            a2,
+        ]))
+        if d <= a2:
+            p = x_state(a1, a2, a2, a4, d, 0.0)
+            if _branch_of(p) == BRANCH_THEOREM2:
+                states.append(p)
+    return states
+
 
 class TestTheorem2:
+    def test_plus_root_is_the_css(self):
+        # Valued at 400 digits, the - root of the closed form lies at or
+        # below a1 or leaves a population non-positive; in doubles it may
+        # round above a1 where a1 a4 is about 0. The CSS takes the + root,
+        # bit for bit.
+        import mpmath as mp
+
+        with_css = 0
+        states = theorem2_edge_states(np.random.default_rng(30), 10_000)
+        for p in states:
+            a1, a2, a4, d = p.a1, p.a2, p.a4, p.d
+            with mp.workdps(400):  # the - root cancels down to a1, which may be subnormal
+                m1, m2, m4, md = (mp.mpf(v) for v in (a1, a2, a4, d))
+                f = 2 * (m1 + m2 + m4 + md) * (m1 + m2 + m4 - md)
+                delta = md * mp.sqrt(md**2 * (m1 - m4) ** 2 + 4 * m1 * m4 * (m1 + m2) * (m2 + m4))
+                minus = (2 * m1 * (m1 + m2) * (m1 + m2 + m4) - md**2 * (m1 - m4) - delta) / f
+                assert minus <= m1 or min(minus, m1 + m2 - minus, minus - m1 + m4) <= 0, p
+            f = 2.0 * (a1 + a2 + a4 + d) * (a1 + a2 + a4 - d)
+            delta = d * math.sqrt(d * d * (a1 - a4) ** 2 + 4.0 * a1 * a4 * (a1 + a2) * (a2 + a4))
+            plus = (2.0 * a1 * (a1 + a2) * (a1 + a2 + a4) - d * d * (a1 - a4) + delta) / f
+            css = solve_theorem2(p).css
+            if css is not None:  # None: the CSS failed validation
+                with_css += 1
+                assert repr(css.r1) == repr(plus), p
+        assert with_css >= 0.9 * len(states)
+
     def test_horodecki_reduction(self):
         p = params_for("theorem2_example", 0.6, 0.0, 0.25, 0.15)
         result = solve_theorem2(p)

@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import astuple, replace
 
@@ -397,6 +398,23 @@ class TestDiagnostics:
         result = compute_ree(RAINS_PARAMS)
         assert result.branch == BRANCH_THEOREM3
         assert result.diagnostics == note
+
+    def test_failed_solution_keeps_the_solver_note(self):
+        # at these bounds two roots of this state validate in the solver, and
+        # the edge check then fails the one it kept
+        tol = replace(
+            default_tolerances(), root_value_cap=1e300, residual_validation=1e300, edge_validation=-1.0
+        )
+        p = x_state(
+            0.2873057102920131, 0.49838799950666307, 0.20275851870420114, 0.011547771497122742,
+            0.16042175725615462,
+        )
+        result = compute_ree(p, tol)
+        assert result.branch == BRANCH_FAILURE
+        assert result.diagnostics.startswith(
+            "theorem3 solution failed validation; partial-transpose edge eigenvalue "
+        )
+        assert re.search(r"; 2 validated roots; kept minimal REE \(others: [^;]*\)$", result.diagnostics)
 
     def test_failure_text_is_the_solver_text(self):
         p = from_density_matrix(named_state("theorem3_example", 0.66, 0.05, 0.07, 0.04, 0.18))
