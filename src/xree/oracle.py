@@ -9,18 +9,20 @@ true REE. The optimizer is derivative-free simplex descent (Nelder-Mead)
 run from several seeds: the closed-form CSS when one exists (decomposed
 into an explicit product mixture), the decohered diagonal of the input,
 the PPT projection of the input within the family, and a configurable
-number of random restarts. The seeds run in lockstep, so each round values
-the points every seed needs with one batched objective call.
+number of random restarts. The seeds run in lockstep groups, one per usable
+CPU, and a seed's bits do not depend on its group (see minimize).
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NotInFamilyError
+from .errors import InvalidStateError, NotInFamilyError, NumericalError
 from .qmath import _EIGENVALUE_CLAMP, _PSD, DensityMatrix, _xlnx_sum, relative_entropy
 from .ree import BRANCH_FAILURE, ReeResult, compute_ree, css_to_x_params
 from .states import (
@@ -142,18 +144,7 @@ def _values(fun, stacks) -> np.ndarray:
     return np.concatenate([fun(rows[i : i + _BLOCK_ROWS]) for i in blocks])
 
 
-def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
-    """Run adaptive Nelder-Mead from every row of x0 in lockstep.
-
-    fun maps an (m, n) stack of points to their m values. Each round values
-    the points every live run needs with calls of at most _BLOCK_ROWS rows.
-    maxfev is one budget or one per row. Every run gives the bits of
-    scipy.optimize.minimize(fun_row, x0_row, method="Nelder-Mead",
-    options={"maxfev": budget, "maxiter": budget, "xatol": xatol,
-    "fatol": fatol, "adaptive": True}). `oracle_ree` looks this name up as a
-    module global, so wrapping `xree.oracle.minimize` sees every call.
-    """
-    budgets = np.broadcast_to(maxfev, len(x0))
+def _lockstep(fun, x0, budgets, xatol, fatol) -> SimplexRuns:
     runs = [_nelder_mead(x, int(b), xatol, fatol) for x, b in zip(x0, budgets)]
     pending = {i: next(run) for i, run in enumerate(runs)}
     done = [None] * len(runs)
@@ -176,6 +167,55 @@ def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
         nfevs,
         nfevs < budgets,
     )
+
+
+def minimize(fun, x0, *, maxfev, xatol, fatol) -> SimplexRuns:
+    """Run adaptive Nelder-Mead from every row of x0 in lockstep groups.
+
+    fun maps an (m, n) stack of points to their m values. Each round values
+    the points every live run needs with calls of at most _BLOCK_ROWS rows.
+    maxfev is one budget or one per row. Every run gives the bits of
+    scipy.optimize.minimize(fun_row, x0_row, method="Nelder-Mead",
+    options={"maxfev": budget, "maxiter": budget, "xatol": xatol,
+    "fatol": fatol, "adaptive": True}). `oracle_ree` looks this name up as a
+    module global, so wrapping `xree.oracle.minimize` sees every call.
+
+    The rows split into contiguous groups, one per usable CPU (os.sched_getaffinity;
+    one off Linux) and at most one per row. Group 0 runs here, each other in a forked
+    child whose error is raised here. fun values a row alike in any stack: same bits.
+    """
+    budgets, workers = np.broadcast_to(maxfev, len(x0)), []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    groups = np.array_split(np.arange(len(x0)), max(1, min(cpus, len(x0))))
+
+    def work(send, rows):
+        try:
+            send.send(_lockstep(fun, x0[rows], budgets[rows], xatol, fatol))
+        except Exception as exc:
+            send.send(exc)
+
+    try:
+        for rows in groups[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(target=work, args=(send, rows))
+            worker.start()
+            workers.append((worker, receive))
+            send.close()  # so recv sees EOF once the worker is gone
+        parts = [_lockstep(fun, x0[groups[0]], budgets[groups[0]], xatol, fatol)]
+        for worker, receive in workers:
+            try:
+                parts.append(receive.recv())
+            except (EOFError, OSError):
+                worker.join()
+                raise NumericalError(f"oracle worker exited with code {worker.exitcode}") from None
+            if isinstance(parts[-1], Exception):
+                raise parts[-1]
+    finally:
+        for worker, receive in workers:
+            worker.terminate()  # cuts short only a worker whose part is not read
+            worker.join()
+            receive.close()
+    return SimplexRuns(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
 
 
 @dataclass(frozen=True)
@@ -256,6 +296,15 @@ def product_mixture_matrix(
     return (weights[..., None] * kets).swapaxes(-1, -2) @ kets.conj()
 
 
+def _block_entry(y: float, ri: float, rj: float) -> float:
+    """y sqrt(ri / rj), as (y / sqrt(rj)) sqrt(ri) where ri / rj overflows.
+
+    y <= sqrt(ri rj), so the second form is at most about sqrt(ri).
+    """
+    e = y * math.sqrt(ri / rj)
+    return e if e < math.inf else y / math.sqrt(rj) * math.sqrt(ri)
+
+
 def separable_x_decomposition(p: XStateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit product decomposition of a separable (PPT) family member.
 
@@ -278,10 +327,8 @@ def separable_x_decomposition(p: XStateParams) -> tuple[np.ndarray, np.ndarray, 
     kets_a: list[np.ndarray] = []
     kets_b: list[np.ndarray] = []
     if y > 0.0:
-        e1 = y * math.sqrt(r1 / r4)
-        e4 = y * math.sqrt(r4 / r1)
-        e2 = y * math.sqrt(r2 / r3)
-        e3 = y * math.sqrt(r3 / r2)
+        e1, e4 = _block_entry(y, r1, r4), _block_entry(y, r4, r1)
+        e2, e3 = _block_entry(y, r2, r3), _block_entry(y, r3, r2)
         block = e1 + e2 + e3 + e4
         q1, q2 = e1 / block, e2 / block
         cos2_alpha = q1 + q2

@@ -295,13 +295,17 @@ def solve_theorem1(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     so REE = H(a2) - H(A+) with A+ the larger middle-block eigenvalue of
     the input; ree_from_css evaluates it. Outer populations below
     _BRANCH_ZERO join the middle, r2 = a2 + a1 and r3 = a3 + a4, so pi has
-    unit trace.
+    unit trace. With a2 != a3 and one of them 0, which the coherence slack
+    admits, ln(a2/a3) is undefined and the state fails validation.
     """
     tol = tol or default_tolerances()
     if (branch := _branch_of(p)) != BRANCH_THEOREM1:
         raise WrongBranchError(f"theorem1 does not apply: {p!r} is {branch}")
     gap = abs(p.a2 - p.a3)
     if gap > _BRANCH_ZERO:
+        if min(p.a2, p.a3) == 0.0:
+            zero = "a2" if p.a2 == 0.0 else "a3"
+            return _failed(BRANCH_THEOREM1, [f"middle population {zero} = 0: ln(a2/a3) undefined"])
         x = (2.0 * p.d / gap) * math.log(max(p.a2, p.a3) / min(p.a2, p.a3))
     else:
         x = 2.0 * p.d / p.a2

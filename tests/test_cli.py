@@ -53,6 +53,15 @@ class TestCompute:
         assert doc["ree_nats"] is None
         assert doc["css"] is None
 
+    @pytest.mark.parametrize("params", ["0,1,0,0,5e-7", "0,0,1,0,5e-7"])
+    def test_zero_middle_population_exits_failure(self, capsys, params):
+        code, out, err = run_cli(capsys, "compute", "--params", params)
+        assert code == EXIT_ANSATZ_FAILURE and err == ""
+        doc = json.loads(out)
+        validate_output(doc, "compute_output.schema.json")
+        assert doc["branch"] == "ansatz_failure"
+        assert "ln(a2/a3) undefined" in doc["diagnostics"]
+
     def test_bits_flag(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "vp:1,0,0", "--bits")
         doc = json.loads(out)

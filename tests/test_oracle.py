@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from xree import (
     to_density_matrix,
     x_state,
 )
-from xree.errors import InvalidStateError, NotInFamilyError
+import xree.oracle
+from xree.errors import InvalidStateError, NotInFamilyError, NumericalError
 from xree.oracle import (
     _BLOCK_ROWS,
     _NELDER_MEAD,
@@ -92,6 +95,33 @@ class TestProductDecomposition:
     def test_entangled_input_rejected(self):
         with pytest.raises(Exception):
             separable_x_decomposition(RAINS_PARAMS)
+
+    def test_subnormal_population_does_not_overflow(self):
+        # y sqrt(a3/a2) overflows with a2 = 3.2e-314
+        tiny = 3.2e-314
+        p = x_state(0.3, tiny, 0.4, 0.3 - tiny, math.sqrt(tiny * 0.4))
+        w, ka, kb = separable_x_decomposition(p)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        rebuilt = product_mixture_matrix(w, ka, kb)
+        assert np.max(np.abs(rebuilt - to_density_matrix(p).matrix)) < 1e-12
+
+    # the PPT-projection warm start decomposes a state with a subnormal
+    # population; an infinite weight ended in a ZeroDivisionError or, through
+    # a NaN logit, in numpy's LinAlgError
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (1e-7, 3.2e-314, 1.0 - 2e-7 - 3.2e-314, 1e-7, 5e-7),
+            (0.48766979718736775, 0.4834835444438873, 0.028846658368744997,
+             5.1009656403183e-311, 5e-7),
+        ],
+        ids=["subnormal-a2", "subnormal-a4"],
+    )
+    def test_oracle_runs_on_a_subnormal_population(self, params):
+        q = x_state(*params)
+        report = oracle_validate(q, compute_ree(q), OracleConfig(8, 0, 3))
+        assert math.isfinite(report.oracle.ree_upper_bound)
 
 
 class TestOracleRee:
@@ -451,6 +481,88 @@ class TestLockstepNelderMead:
         assert stopped == want
 
 
+def _use_cpus(monkeypatch, cpus):
+    """Make xree.oracle see cpus usable CPUs; None removes the call, as off Linux."""
+    if cpus is None:
+        monkeypatch.delattr(xree.oracle.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(
+            xree.oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+        )
+
+
+def _refuse_fork():
+    raise AssertionError("minimize forked a worker")
+
+
+class TestCpuGroups:
+    """minimize runs one group of rows per usable CPU, with the same bytes."""
+
+    @staticmethod
+    def _starts():
+        fun, _, _ = _oracle_objective(SEPARABLE_DIAGONAL)
+        rng = np.random.default_rng(0)
+        warm, cold = _warm_start(SEPARABLE_DIAGONAL, 4), rng.normal(0.0, 1.0, (2, 20))
+        starts = np.array([warm, cold[0], warm, cold[1], np.full(20, 0.5)])
+        return fun, starts, np.array([1300, 21, 400, 1, 700])
+
+    def test_every_cpu_count_gives_the_same_bytes(self, monkeypatch):
+        # 16 CPUs is more than the 5 rows: one row per group
+        fun, starts, budgets = self._starts()
+        got = {}
+        for cpus in (None, 1, 2, 3, 16):
+            _use_cpus(monkeypatch, cpus)
+            with monkeypatch.context() as m:
+                if cpus in (None, 1):
+                    m.setattr(os, "fork", _refuse_fork)
+                res = minimize(fun, starts, maxfev=budgets, **_NELDER_MEAD)
+            got[cpus] = [a.tobytes() for a in (res.x, res.fun, res.nfevs, res.successes)]
+            assert multiprocessing.active_children() == []
+        assert all(fields == got[1] for fields in got.values())
+
+    def test_a_worker_error_is_raised_here(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        fun, starts, budgets = self._starts()
+        parent = os.getpid()
+
+        def fails_in_a_worker(rows):
+            if os.getpid() != parent:
+                raise FloatingPointError("rows of the worker's group")
+            return fun(rows)
+
+        with pytest.raises(FloatingPointError, match="worker's group"):
+            minimize(fails_in_a_worker, starts, maxfev=budgets, **_NELDER_MEAD)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises_here(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        fun, starts, budgets = self._starts()
+        parent = os.getpid()
+
+        def dies_in_a_worker(rows):
+            if os.getpid() != parent:
+                os._exit(3)
+            return fun(rows)
+
+        with pytest.raises(NumericalError, match="exited with code 3"):
+            minimize(dies_in_a_worker, starts, maxfev=budgets, **_NELDER_MEAD)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_here_stops_the_workers(self, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        fun, starts, budgets = self._starts()
+        parent = os.getpid()
+
+        def fails_here(rows):
+            if os.getpid() == parent:
+                raise FloatingPointError("rows of group 0")
+            return fun(rows)
+
+        with pytest.raises(FloatingPointError, match="group 0"):
+            minimize(fails_here, starts, maxfev=budgets * 100, **_NELDER_MEAD)
+        assert multiprocessing.active_children() == []
+
+
 class TestValues:
     @pytest.mark.parametrize(
         "sizes", [[1] * 11, [81] * 11, [80, 1, 1], [32], [33]], ids=["11x1", "11x81", "80-1-1", "32", "33"]
@@ -470,6 +582,28 @@ class TestValues:
         assert got.tobytes() == fun(np.concatenate(stacks)).tobytes()
 
 
+# The default config is what the CLI and criterion 5 run; the seeded
+# oracle document's config cannot see every last-bit objective change.
+DEFAULT_CONFIG_PINS = [
+    pytest.param(
+        FAILURE_PARAMS,
+        BRANCH_FAILURE,
+        "0x1.3f0a3b294ec98p-3",
+        1,
+        "1a22176ab05df97307ea4990f351779221acfb3fefdd0defedb05aba44aeccc0",
+        id="failure-cold",
+    ),
+    pytest.param(
+        RAINS_PARAMS,
+        BRANCH_THEOREM3,
+        "0x1.0a974117b4724p-3",
+        0,
+        "e9ad4e0baa7898fb14b2f511f245182438b08b715e2df2735c8842d4c3f001b8",
+        id="rains-warm",
+    ),
+]
+
+
 class TestOracleValidate:
     def test_rains_report(self):
         closed = compute_ree(RAINS_PARAMS)
@@ -483,29 +617,7 @@ class TestOracleValidate:
         report = oracle_validate(p, closed, OracleConfig(rng_seed=17))
         assert report.abs_difference < 5e-4
 
-    # The default config is what the CLI and criterion 5 run; the seeded
-    # oracle document's config cannot see every last-bit objective change.
-    @pytest.mark.parametrize(
-        "p, branch, bound, best, digest",
-        [
-            pytest.param(
-                FAILURE_PARAMS,
-                BRANCH_FAILURE,
-                "0x1.3f0a3b294ec98p-3",
-                1,
-                "1a22176ab05df97307ea4990f351779221acfb3fefdd0defedb05aba44aeccc0",
-                id="failure-cold",
-            ),
-            pytest.param(
-                RAINS_PARAMS,
-                BRANCH_THEOREM3,
-                "0x1.0a974117b4724p-3",
-                0,
-                "e9ad4e0baa7898fb14b2f511f245182438b08b715e2df2735c8842d4c3f001b8",
-                id="rains-warm",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("p, branch, bound, best, digest", DEFAULT_CONFIG_PINS)
     def test_default_config_bits_are_pinned(self, p, branch, bound, best, digest):
         closed = compute_ree(p)
         assert closed.branch == branch
@@ -516,6 +628,14 @@ class TestOracleValidate:
         mixture = hashlib.sha256(result.weights.tobytes())
         mixture.update(result.qubit_a.tobytes() + result.qubit_b.tobytes())
         assert mixture.hexdigest() == digest
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("p, branch, bound, best, digest", DEFAULT_CONFIG_PINS)
+    def test_default_config_bits_on_one_and_two_cpus(
+        self, monkeypatch, cpus, p, branch, bound, best, digest
+    ):
+        _use_cpus(monkeypatch, cpus)
+        self.test_default_config_bits_are_pinned(p, branch, bound, best, digest)
 
     def test_failure_case_fingerprint(self):
         p = from_density_matrix(

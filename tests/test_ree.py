@@ -1,6 +1,7 @@
 """Solver branches, residual checker, REE evaluator, and dispatcher."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from xree import (
     binary_entropy,
     closed_form_family_ree,
     compute_ree,
+    compute_ree_many,
     css_residuals,
     css_solution,
     css_to_density_matrix,
@@ -192,6 +194,33 @@ class TestTheorem1:
         assert result.branch == BRANCH_THEOREM1, result.diagnostics
         limit = compute_ree(x_state(0.0, 0.5, 0.5, 0.0, 0.3)).ree
         assert abs(result.ree - limit) <= 1e-10
+
+    @pytest.mark.parametrize("num", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("zero", ["a2", "a3"])
+    def test_zero_middle_population_fails_without_a_warning(self, num, zero):
+        # d^2 <= a2 a3 + the coherence slack admits d > 0 with a2 or a3 = 0,
+        # where ln(a2/a3) is undefined
+        pops = (0.0, 0.0, 1.0, 0.0) if zero == "a2" else (0.0, 1.0, 0.0, 0.0)
+        p = x_state(*map(num, (*pops, 5e-7)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = compute_ree(p)
+        assert result.branch == BRANCH_FAILURE and result.ree is None
+        assert f"middle population {zero} = 0" in result.diagnostics
+
+    def test_zero_middle_population_leaves_its_batch_alone(self):
+        states = [
+            x_state(0.0, 0.6, 0.4, 0.0, 0.3),
+            x_state(0.0, 1.0, 0.0, 0.0, 5e-7),
+            RAINS_PARAMS,
+            x_state(0.0, 0.0, 1.0, 0.0, 5e-7),
+            x_state(0.1, 0.35, 0.35, 0.2, 0.3),
+        ]
+        batch = compute_ree_many(states)
+        assert [r.branch for r in batch] == [
+            BRANCH_THEOREM1, BRANCH_FAILURE, BRANCH_THEOREM3, BRANCH_FAILURE, BRANCH_THEOREM2
+        ]
+        assert repr(batch) == repr([compute_ree(p) for p in states])
 
 
 def theorem2_edge_states(rng, count):
