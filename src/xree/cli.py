@@ -186,8 +186,7 @@ def _parse_params_flag(text: str) -> XStateParams:
         vals = [float(v) for v in parts]
     except ValueError as exc:
         raise InvalidStateError(f"--params: {exc}") from exc
-    phi = vals[5] if len(vals) == 6 else 0.0
-    return x_state(vals[0], vals[1], vals[2], vals[3], vals[4], phi)
+    return x_state(*vals)
 
 
 def _family_state(name: str, *weights: float) -> XStateParams:

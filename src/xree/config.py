@@ -1,17 +1,19 @@
 """Numerical tolerances that callers may set.
 
-The frozen dataclass holds the 9 thresholds that something outside their
-reading module sets, and a JSON file named by the REE_TOL_OVERRIDE
-environment variable may override any of them. The tests pass them to the
-compute path (compute_ree, compute_ree_many, solve_theorem1/2/3,
-css_residuals, css_to_x_params, x_state) as tol, setting the validation
-and solver bounds and simplex one at a time (a negative simplex fails the
-CSS check of a solution); the benchmark sets root_grid_points. Any other
-reader calls default_tolerances(), which caches them until
-reset_tolerance_cache() (a failed read of the file caches nothing).
-simplex, the slack of input weights, is read in three modules. A
-threshold nothing sets is a constant of the one module that reads it,
-and an override file naming one exits as an unknown field.
+The frozen dataclass holds 8 thresholds, each set from outside its
+reading module, and a JSON file named by the REE_TOL_OVERRIDE environment
+variable may override any of them. The tests set each one at a time and
+pass it to the compute path (compute_ree, compute_ree_many,
+solve_theorem1/2/3, css_residuals, css_to_x_params, x_state) as tol:
+simplex, the input slack read in three modules (a negative one fails the
+CSS check of a solution); the solver bounds root_grid_points, which the
+benchmark sets too, root_bisect_tol and root_value_cap, the one Theorem 3
+root filter; and the validation bounds residual_validation,
+edge_validation, dual_path_validation and y_edge. Any other reader calls
+default_tolerances(), which caches them until reset_tolerance_cache() (a
+failed read of the file caches nothing). A threshold nothing sets is a
+constant of the one module that reads it, and an override file naming
+one exits as an unknown field.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class Tolerances:
     simplex: float = 1e-12
 
     # solver bounds, set by the tests; the benchmark sets root_grid_points
-    sign_residual: float = 1e-8
     root_grid_points: int = 2000
     root_bisect_tol: float = 1e-13
     root_value_cap: float = 1e-6

@@ -327,14 +327,16 @@ def solve_theorem2(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     roots r1 with +-Delta and leads with F/2 > 0. With b = (a1+a2)(a2+a4),
     P(a1) = a1 a4 (a1 a4 - d^2) <= 0 < P(a1+a2) = b (b - d^2) on an entangled
     state, so the + root lies in (a1, a1 + a2): the one root with x > 0,
-    where L > 0 solves the unsquared condition and r1, r2, r4 > 0. A
-    population that rounding leaves non-positive fails validation.
+    where L > 0 solves the unsquared condition and r1, r2, r4 > 0. F <= 0,
+    from d inside the coherence slack, or a population rounded to <= 0 fails.
     """
     tol = tol or default_tolerances()
     if (branch := _branch_of(p)) != BRANCH_THEOREM2:
         raise WrongBranchError(f"theorem2 does not apply: {p!r} is {branch}")
     a1, a2, a4, d = p.a1, p.a2, p.a4, p.d
     f_norm = 2.0 * (a1 + a2 + a4 + d) * (a1 + a2 + a4 - d)
+    if f_norm <= 0.0:
+        return _failed(BRANCH_THEOREM2, [f"d = {d!r} reaches a1 + a2 + a4: F = {f_norm!r}"])
     delta = d * math.sqrt(d * d * (a1 - a4) ** 2 + 4.0 * a1 * a4 * (a1 + a2) * (a2 + a4))
     r1 = (2.0 * a1 * (a1 + a2) * (a1 + a2 + a4) - d * d * (a1 - a4) + delta) / f_norm
     r4 = r1 - (a1 - a4)
@@ -362,7 +364,6 @@ class _T3Constants(NamedTuple):
     gamma0: np.ndarray
     r2_base: np.ndarray
     r3_base: np.ndarray
-    a2: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
@@ -381,7 +382,7 @@ def _t3_table(ps: list[XStateParams]) -> np.ndarray:
             8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4),
             (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3),
             4.0 * a1 + 3.0 * a2 + a3, 4.0 * a1 + a2 + 3.0 * a3,
-            a2, a1 + 1e-12, 0.5 * (1.0 + a1 - a4),
+            a1 + 1e-12, 0.5 * (1.0 + a1 - a4),
         ))
     return np.array(rows, dtype=float).reshape(len(ps), len(_T3Constants._fields)).T
 
@@ -580,19 +581,18 @@ def _solve_theorem3_many(ps: list[XStateParams], tol: Tolerances) -> list[ReeRes
     """solve_theorem3 of each theorem3 state, all brackets in one _bisect_t3 call.
 
     The polished roots of all states then pass one array pass of the root
-    filters, |f| <= root_value_cap and the sign side condition. The cap is
-    finite, so it drops a nan (a failed bisection, or a candidate that is
-    infeasible or not PSD) and a large value (a pole).
+    filter |f| <= root_value_cap. The cap is finite, so it drops a nan (a
+    failed bisection, or a candidate that is infeasible or not PSD) and a
+    large value (a pole). The side condition needs no filter: with
+    u = r2 - r3, S = u (a2 - r2) + 2 y (d - y) - 2 r2 (r1 - a1) equals
+    -u res_c - 2 y res_e, residuals (c) and (e) of css_residuals.
     """
     table = _t3_table(ps)
     a, b, fa, sign, owner = _t3_grid(table, tol)
     columns = table[:, owner]
-    c = _T3Constants(*columns)
     roots = _bisect_t3(a, b, fa, sign, columns, tol)
-    fval, r2, r3, r4, y = _t3_values(roots, sign, c)
-    side = (r2 - r3) * (c.a2 - r2) + 2.0 * y * (c.d - y) - 2.0 * r2 * (roots - c.a1)
-    capped = np.abs(fval) <= tol.root_value_cap
-    keep = np.flatnonzero(capped & (np.abs(side) <= tol.sign_residual))
+    fval, r2, r3, r4, y = _t3_values(roots, sign, _T3Constants(*columns))
+    keep = np.flatnonzero(np.abs(fval) <= tol.root_value_cap)
     rows = np.stack([roots, r2, r3, r4, y], axis=1)[keep].tolist()
     kept: list[list] = [[] for _ in ps]
     for k, row in zip(owner[keep].tolist(), rows):
@@ -606,10 +606,9 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
 
     Both quadratic sign branches for (r2, r3) are scanned over the feasible
     interval r1 in (a1, (1 + a1 - a4)/2). Every bisected root is validated
-    against the sign side condition, the full five coupled equations, and
-    PSD; when several roots survive, the one with the smallest REE wins.
-    No surviving root means no root was found on the grid, and the result
-    is ansatz_failure.
+    against the full five coupled equations and PSD; when several roots
+    survive, the one with the smallest REE wins. No surviving root means
+    no root was found on the grid, and the result is ansatz_failure.
     """
     if (branch := _branch_of(p)) != BRANCH_THEOREM3:
         raise WrongBranchError(f"theorem3 does not apply: {p!r} is {branch}")
@@ -706,7 +705,7 @@ def _validated(
             slot = len(transposed)
             transposed.append(p)
         elif result.branch != BRANCH_FAILURE:
-            if result.residual_max is None or result.residual_max > tol.residual_validation:
+            if result.residual_max > tol.residual_validation:
                 problems.append(f"coupled-equation residual {result.residual_max!r}")
             css = result.css
             if abs(css.y - math.sqrt(css.r1 * css.r4)) > tol.y_edge:

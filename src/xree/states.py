@@ -51,7 +51,7 @@ def _check_finite(values, label: str) -> None:
 
 @dataclass(frozen=True)
 class XStateParams:
-    """Populations a1..a4, coherence magnitude d >= 0, and phase phi."""
+    """Populations a1..a4, coherence magnitude d >= 0 and phase phi, of the types given."""
 
     a1: float
     a2: float
@@ -93,7 +93,7 @@ def x_state(
     phi: float = 0.0,
     tol: Tolerances | None = None,
 ) -> XStateParams:
-    """Validate and build XStateParams.
+    """Validate and build XStateParams, of Python floats for any real inputs.
 
     Rejects populations or d below -simplex and populations that miss the
     unit simplex by more than simplex; clamps the small negatives left to
@@ -101,6 +101,7 @@ def x_state(
     """
     tol = tol or default_tolerances()
     _check_finite((a1, a2, a3, a4, d, phi), "x_state")
+    a1, a2, a3, a4, d, phi = map(float, (a1, a2, a3, a4, d, phi))
     pops = (a1, a2, a3, a4)
     if min(pops) < -tol.simplex:
         raise InvalidStateError(f"negative population in {pops}")
@@ -248,11 +249,10 @@ def from_density_matrix(rho: DensityMatrix) -> XStateParams:
         raise NotInFamilyError(
             f"matrix entries outside the X-like pattern: {desc}", offending
         )
-    # Python floats, so no numpy scalar repr reaches a message or a result
     coh = complex(m[1, 2])
     d = abs(coh)
     phi = cmath.phase(coh) if d > 0.0 else 0.0
-    return x_state(*(float(m[i, i].real) for i in range(4)), d, phi)
+    return x_state(*(m[i, i].real for i in range(4)), d, phi)
 
 
 def is_entangled(p: XStateParams) -> bool:

@@ -1,12 +1,21 @@
 """Shared fixtures: independent eigenvalue oracle and random family sampling."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xree import compute_ree, is_entangled, x_state
 from xree.ree import BRANCH_FAILURE
+
+# HYPOTHESIS_PROFILE=ci runs the properties that leave max_examples to the
+# profile (the slack-edge fuzz) on 5000 examples instead of 100. It builds on
+# the "ci" profile that Hypothesis itself loads on a CI runner.
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.register_profile("ci", settings.get_profile("ci"), max_examples=5000)
+    settings.load_profile("ci")
 
 
 def charpoly_eigenvalues(m) -> np.ndarray:

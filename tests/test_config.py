@@ -34,6 +34,7 @@ MADE_CONSTANTS = (
         pytest.param({"root_grid_points": -5}, id="negative-grid-points"),
         pytest.param({"simplex": None}, id="null-simplex"),
         pytest.param({"branch_near_equal": 1e-8}, id="deleted-field"),
+        pytest.param({"sign_residual": 1e-8}, id="removed-sign-residual"),
         pytest.param(dict.fromkeys(MADE_CONSTANTS, 1e-12), id="fields-made-constants"),
     ],
 )
@@ -78,7 +79,7 @@ def test_constructor_rejects(field, value):
 
 def test_zero_and_negative_bounds_stay_legal():
     tol = Tolerances(
-        residual_validation=0.0, root_value_cap=0.0, sign_residual=0.0, y_edge=-1e-3, simplex=0
+        residual_validation=0.0, root_value_cap=0.0, y_edge=-1e-3, simplex=0
     )
     assert tol.y_edge == -1e-3
     assert dataclasses.replace(tol, root_grid_points=1).root_grid_points == 1
@@ -102,7 +103,10 @@ def test_fields_made_constants_are_unknown(tmp_path):
     with pytest.raises(ValueError) as err:
         Tolerances.from_file(str(path))
     assert str(err.value) == "unknown tolerance fields: " + ", ".join(sorted(MADE_CONSTANTS))
-    assert len(dataclasses.fields(Tolerances)) == 9
+    path.write_text(json.dumps({"sign_residual": 1e-8}))
+    with pytest.raises(ValueError, match="^unknown tolerance fields: sign_residual$"):
+        Tolerances.from_file(str(path))
+    assert len(dataclasses.fields(Tolerances)) == 8
 
 
 # the compute path takes tolerances as an argument; everything else reads

@@ -327,6 +327,23 @@ class TestTheorem2:
             result = solve_theorem2(p)
             assert result.residual_max < 1e-9
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1e-12, 0.49999999999950007, 0.49999999999950007, 1e-300, 0.5000000000005),
+            (0.0, 0.49999999999949996, 0.49999999999949996, 1e-12, 0.5000000000004999),
+        ],
+    )
+    @pytest.mark.parametrize("num", [float, np.float64])
+    def test_zero_normaliser_fails_without_raising(self, values, num):
+        # d = sqrt(a2 a3 + 1e-12), inside the coherence slack, equals
+        # a1 + a2 + a4 here, so F = 2 (a1+a2+a4+d)(a1+a2+a4-d) is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = compute_ree(x_state(*map(num, values)))
+        assert result.branch == BRANCH_FAILURE
+        assert result.diagnostics.endswith("reaches a1 + a2 + a4: F = 0.0")
+
     def test_wrong_branch_rejected(self):
         with pytest.raises(WrongBranchError):
             solve_theorem2(x_state(0.0, 0.6, 0.4, 0.0, 0.3))  # outer corner empty
@@ -377,15 +394,31 @@ class TestTheorem3:
             "over 2000 grid points per sign branch (0 brackets, 0 rejected)"
         )
 
-    @pytest.mark.parametrize(
-        "field", ["residual_validation", "root_value_cap", "sign_residual"]
-    )
+    @pytest.mark.parametrize("field", ["residual_validation", "root_value_cap"])
     def test_rejected_root_is_counted(self, field):
         # Rains has one bracket; a zero bound on any root filter rejects it
         tol = replace(default_tolerances(), **{field: 0.0})
         result = solve_theorem3(RAINS_PARAMS, tol)
         assert result.branch == BRANCH_FAILURE
         assert result.diagnostics.endswith("(1 brackets, 1 rejected)")
+
+    def test_side_condition_is_bounded_by_the_residuals(self):
+        # with x h = r1 - a1 and y^2 = r1 r4, S = -u res_c - 2 y res_e, so the
+        # residual check bounds the side condition and no filter of its own is due
+        rng = np.random.default_rng(7)
+        ps = [random_entangled_params(rng, "theorem3") for _ in range(400)]
+        validated = 0
+        for p, result in zip(ps, compute_ree_many(ps)):
+            if result.branch != BRANCH_THEOREM3:
+                continue
+            c = result.css
+            side = (
+                (c.r2 - c.r3) * (p.a2 - c.r2) + 2.0 * c.y * (p.d - c.y)
+                - 2.0 * c.r2 * (c.r1 - p.a1)
+            )
+            assert abs(side) <= 2.0 * max(c.r2, c.r3) * result.residual_max + 1e-15
+            validated += 1
+        assert validated >= 370
 
     def test_bisection_matches_scalar_reference(self):
         tol = default_tolerances()

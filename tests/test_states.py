@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from xree import (
     BlochZParams,
     DensityMatrix,
+    compute_ree,
     from_density_matrix,
     hermitian_eig,
     is_entangled,
@@ -23,7 +25,8 @@ from xree import (
     x_state_from_bloch,
 )
 from xree.errors import InvalidStateError, NotInFamilyError, SingularPhaseError
-from xree.states import RAINS_PARAMS, bell_ket
+from xree.oracle import separable_x_decomposition
+from xree.states import RAINS_PARAMS, XStateParams, bell_ket
 
 from conftest import random_entangled_params, random_separable_params
 
@@ -283,3 +286,46 @@ class TestValidation:
     def test_negative_bloch_coherence_rejected(self):
         with pytest.raises(InvalidStateError, match="shift phi by pi"):
             x_state_from_bloch(BlochZParams(r=0.0, s=0.0, g_x=-0.2, g_z=0.0))
+
+
+class TestFloatConversion:
+    """x_state turns any real inputs into Python floats, np.float64 included."""
+
+    def test_fields_are_python_floats(self):
+        p = x_state(*map(np.float64, (0.1, 0.4, 0.3, 0.2, 0.25, 0.7)))
+        assert [type(v) for v in astuple(p)] == [float] * 6
+        assert p == x_state(0.1, 0.4, 0.3, 0.2, 0.25, 0.7)
+
+    def test_result_holds_python_floats(self):
+        result = compute_ree(x_state(*map(np.float64, (0.1, 0.4, 0.3, 0.2, 0.25))))
+        assert type(result.ree) is float
+        assert "np.float64" not in repr(result)
+
+    def test_message_holds_python_floats(self):
+        with pytest.raises(InvalidStateError) as err:
+            x_state(np.float64(-0.5), 0.5, 0.5, 0.5, 0.1)
+        assert str(err.value) == "negative population in (-0.5, 0.5, 0.5, 0.5)"
+
+    def test_subnormal_gap_gives_no_warning(self):
+        # 2 d / (a2 - a3) overflows: inf for Python floats, a RuntimeWarning for np.float64
+        values = (0.0, 1.0, 4.94065645841e-312, 0.0, 9.486832980505138e-07)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = compute_ree(x_state(*map(np.float64, values), 0.7))
+        assert repr(result) == repr(compute_ree(x_state(*values, 0.7)))
+
+    def test_subnormal_decomposition_gives_no_warning(self):
+        values = (0.3, 3.2e-314, 0.4, 0.3 - 3.2e-314, math.sqrt(3.2e-314 * 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = separable_x_decomposition(x_state(*map(np.float64, values)))
+        want = separable_x_decomposition(x_state(*values))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_strings_are_still_rejected(self):
+        with pytest.raises(TypeError):
+            x_state("0.1", 0.4, 0.3, 0.2, 0.25)
+
+    def test_direct_construction_keeps_its_type(self):
+        p = XStateParams(*map(np.float64, (0.1, 0.4, 0.3, 0.2, 0.25)))
+        assert type(p.a1) is np.float64
