@@ -16,6 +16,9 @@ It prints one JSON object, each value the sha256 of:
   compute_ree_many     the repr of compute_ree_many on --draws seeded states
                        of each branch, shuffled, then of compute_ree on
                        every seventh state alone
+  edges                the repr of compute_ree_many on --draws seeded
+                       Theorem 3 states of each of EDGE_FAMILIES, where the
+                       feasible part of the root grid is shortest
 
 Two checkouts are compared by running the script in each: equal digests
 mean equal bytes. It needs no other file of scripts/, so a copy of it runs
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from xree import cli, ree  # noqa: E402
+from xree.errors import XreeError  # noqa: E402
 
 GRIDS = sorted((ROOT / "grids").glob("*.json"))
 RAINS = ("--family", "rains")
@@ -53,6 +57,8 @@ STATES = {
     "bell_diagonal": ("--family", "bell_diagonal:0.1,0.2,0.6,0.1"),  # exit 1
 }
 DRAW_SEED = 30
+EDGE_SEED = 33
+EDGE_FAMILIES = ("near_symmetric", "outer_product", "near_ppt", "near_psd_edge", "slack")
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -101,9 +107,50 @@ def draw(rng: random.Random, branch: str):
             return p
 
 
+def edge_draw(rng: random.Random, family: str):
+    """One Theorem 3 state near an edge of the general case.
+
+    near_symmetric: |a2 - a3| from 1e-11 to 1e-3; outer_product: a1 or a4
+    scaled by 1e-12 to 1e-4; near_ppt: d -> sqrt(a1 a4) from above;
+    near_psd_edge: d -> sqrt(a2 a3) from below; slack: d at
+    sqrt(a2 a3 + 1e-12) or 0.9e-12 inside it, each outer population at a
+    branch threshold or as drawn, and |a2 - a3| from 1e-12 to 1e-3.
+    """
+    while True:
+        w = [rng.expovariate(1.0) for _ in range(4)]
+        if family == "outer_product":
+            w[rng.choice((0, 3))] *= 10.0 ** rng.uniform(-12, -4)
+        total = math.fsum(w)
+        a1, a2, a3, a4 = (v / total for v in w)
+        if family == "slack":
+            a1, a4 = (rng.choice((0.0, 1e-12, 1.01e-12, 1e-9, v)) for v in (a1, a4))
+            a2 = a3 = 0.5 * (1.0 - a1 - a4)
+        if family in ("near_symmetric", "slack"):
+            mid, gap = 0.5 * (a2 + a3), 10.0 ** rng.uniform(-12, -3)
+            a2, a3 = mid + 0.5 * gap, mid - 0.5 * gap
+        lo, hi = math.sqrt(a1 * a4), math.sqrt(a2 * a3)
+        eps = 10.0 ** rng.uniform(-12, -2)
+        if family == "near_ppt":
+            d = lo * (1.0 + eps)
+        elif family == "near_psd_edge":
+            d = hi * (1.0 - eps)
+        elif family == "slack":
+            d = math.sqrt(a2 * a3 + rng.choice((1e-12, 0.9e-12)))
+        else:
+            d = lo + rng.uniform(0.0, 1.0) * (hi - lo)
+        try:
+            p = ree.x_state(a1, a2, a3, a4, d)
+        except XreeError:
+            continue
+        if ree._branch_of(p) == ree.BRANCH_THEOREM3:
+            return p
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--draws", type=int, default=600, help="seeded states per branch")
+    parser.add_argument(
+        "--draws", type=int, default=600, help="seeded states per branch and per edge family"
+    )
     args = parser.parse_args()
     out = {"selftest": digest(*run("selftest"))}
     for grid in GRIDS:
@@ -120,6 +167,9 @@ def main() -> int:
     rng.shuffle(states)
     alone = [ree.compute_ree(p) for p in states[::7]]
     out["compute_ree_many"] = digest(ree.compute_ree_many(states), alone)
+    rng = random.Random(EDGE_SEED)
+    edges = [edge_draw(rng, family) for family in EDGE_FAMILIES for _ in range(args.draws)]
+    out["edges"] = digest(ree.compute_ree_many(edges))
     print(json.dumps(out))
     return 0
 

@@ -27,9 +27,9 @@ branch was found on the grid, the result is flagged as ansatz_failure.
 compute_ree_many takes a list of states and compute_ree is its one-state
 call. The list runs CHUNK states at a time. Validity checks, dispatch and
 the theorem1/2 solvers run state by state. A chunk's Theorem 3 states
-are read once into one table. A strided probe of feasibility in r1 alone
-finds the window of each state's root grid, and the reduction is valued
-there only, many states per array pass. The chunk's brackets are bisected
+are read once into one table, with the closed-form end of the r1 where
+each state's reduction is defined, and the reduction is valued up to there
+only, many states per array pass. The chunk's brackets are bisected
 together, one reduction call per level, and its roots pass the root
 filters in one array pass; only the scoring of each state's surviving
 roots runs state by state. The chunk's validation builds every matrix it
@@ -352,8 +352,8 @@ class _T3Constants(NamedTuple):
     """The rows of a _t3_table: each state's numbers in the reduction.
 
     Each field holds one entry per state, per window row (B, 1), or per
-    bracket (K,). lo and hi are the ends of each state's r1 grid;
-    the interval is empty when hi <= lo.
+    bracket (K,). lo and hi are the ends of each state's r1 grid, empty
+    when hi <= lo; past end, the reduction is not defined (_t3_grid).
     """
 
     a1: np.ndarray
@@ -366,6 +366,7 @@ class _T3Constants(NamedTuple):
     r3_base: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    end: np.ndarray
 
 
 def _t3_table(ps: list[XStateParams]) -> np.ndarray:
@@ -377,27 +378,21 @@ def _t3_table(ps: list[XStateParams]) -> np.ndarray:
     rows = []
     for p in ps:
         a1, a2, a3, a4, d = p.a1, p.a2, p.a3, p.a4, p.d
+        slope = 8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4)
+        gamma0 = (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3)
+        # end (_t3_grid): the larger root t of lead t^2 - 2 half t + at0^2, at0 = gamma at t = 0
+        gap, least = abs(a1 - a4), min(a1, a4)
+        at0 = (a2 - a3) ** 2 + 8.0 * least * (a2 + a3 + 2.0 * least)
+        half = slope * at0 + 128.0 * d * d * gap
+        root = math.sqrt(at0 * at0 + slope * at0 * gap + 64.0 * (d * gap) ** 2)
+        lead = (slope - 16.0 * d) * (slope + 16.0 * d)
+        end = max(a1 - a4, 0.0) + (half + 16.0 * d * root) / lead if lead > 0.0 else math.inf
         rows.append((
-            a1, a1 - a4, d, 16.0 * d,
-            8.0 * (2.0 * a1 + a2 + a3 + 2.0 * a4),
-            (a2 - a3) ** 2 + 8.0 * a1 * (2.0 * a1 + a2 + a3),
+            a1, a1 - a4, d, 16.0 * d, slope, gamma0,
             4.0 * a1 + 3.0 * a2 + a3, 4.0 * a1 + a2 + 3.0 * a3,
-            a1 + 1e-12, 0.5 * (1.0 + a1 - a4),
+            a1 + 1e-12, 0.5 * (1.0 + a1 - a4), end,
         ))
     return np.array(rows, dtype=float).reshape(len(ps), len(_T3Constants._fields)).T
-
-
-def _t3_feasible(r1: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
-    """The r1-only part of _t3_values: r4, y, gamma and their feasibility.
-
-    A point is feasible when r1 > a1, r4 > 0 and gamma >= 0; the sign
-    branch of (r2, r3) does not enter. r1 and the constants c broadcast.
-    """
-    r4 = r1 - c.a1_minus_a4
-    w = r1 * r4
-    y = np.sqrt(np.where(w > 0.0, w, 0.0))
-    gamma = c.d16 * y - c.r1_slope * r1 + c.gamma0
-    return r4, y, gamma, (r1 > c.a1) & (r4 > 0.0) & (gamma >= 0.0)
 
 
 def _t3_values(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.ndarray, ...]:
@@ -406,25 +401,28 @@ def _t3_values(r1: np.ndarray, sign: np.ndarray, c: _T3Constants) -> tuple[np.nd
     f(r1) = ell - z (r1 - a1)(r2 - r3)^2
                  / [y (d - y) z^2 - 2 r1 r4 (r1 - a1)(r2 + r3)]
 
-    Returns (f, r2, r3, r4, y); f is nan unless the candidate is feasible
-    with r2, r3 > 0, s > z (so y^2 < r2 r3) and a non-zero denominator.
-    r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and the
-    columns c broadcast, one state per entry of r1: the root grid passes
-    B windows as r1 (B, W) with sign (2, 1, 1), one block per branch, the
-    bisection and the root filters r1 and sign (K,), one per bracket. r4
-    and y take the shape of r1, the rest the common shape.
+    Returns (f, r2, r3, r4, y); f is nan unless gamma >= 0, r2, r3 > 0,
+    s > z (so y^2 < r2 r3) and the denominator is not zero. Each r1 is a
+    grid point or a midpoint of two, >= lo = a1 + 1e-12, so r1 > a1 and
+    r4 > 0. r1, sign (+1 or -1, the branch of the (r2, r3) quadratic) and
+    the columns c broadcast, one state per entry of r1: the root grid
+    passes B windows as r1 (B, W) with sign (2, 1, 1), one block per
+    branch, the bisection and the root filters r1 and sign (K,), one per
+    bracket. r4 and y take the shape of r1, the rest the common shape.
     """
-    r4, y, gamma, feasible = _t3_feasible(r1, c)
+    r4 = r1 - c.a1_minus_a4
+    w = r1 * r4
+    y = np.sqrt(w)
+    gamma = c.d16 * y - c.r1_slope * r1 + c.gamma0
     root = np.sqrt(np.where(gamma > 0.0, gamma, 0.0))
     r2 = 0.25 * (c.r2_base - 4.0 * r1 + sign * root)
     r3 = 0.25 * (c.r3_base - 4.0 * r1 - sign * root)
     with np.errstate(invalid="ignore", divide="ignore"):
         u = r2 - r3
         s = r2 + r3
-        w = r1 * r4
         z = np.sqrt(u * u + 4.0 * w)
         den = y * (c.d - y) * z * z - 2.0 * w * (r1 - c.a1) * s
-        ok = feasible & (r2 > 0.0) & (r3 > 0.0) & (s > z) & (den != 0.0)
+        ok = (gamma >= 0.0) & (r2 > 0.0) & (r3 > 0.0) & (s > z) & (den != 0.0)
         ell = np.log((s + z) / np.where(ok, s - z, np.nan))
         f = ell - z * (r1 - c.a1) * u * u / np.where(ok, den, np.nan)
     return f, r2, r3, r4, y
@@ -474,9 +472,8 @@ def _bisect_t3(
     return 0.5 * (a + b)
 
 
-# _t3_grid probes every _PROBE_STRIDE-th grid point; one array pass of it values at most
-# GRID_BLOCK_POINTS reduction points, both signs counted, or one state (17 on the baseline)
-_PROBE_STRIDE = 16
+# one array pass of _t3_grid values at most GRID_BLOCK_POINTS reduction points, both
+# signs counted, or one window (17 to 20 windows on the baseline line)
 GRID_BLOCK_POINTS = 16000
 
 
@@ -494,49 +491,49 @@ def _t3_grid(table: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, ...]:
     its root r. The brackets come out by state, then sign +1 before -1,
     then r1 ascending.
 
-    A probe decides feasibility in r1 alone (_t3_feasible) at every
-    _PROBE_STRIDE-th point of a row and its last. A state's window runs
-    from the probe point before its first feasible one to the one after its
-    last, or is its whole row if none is. The reduction is valued on the
-    windows only, one _t3_equation call per (2, B, W) block. This loses no
-    bracket: f is nan wherever r1 alone is infeasible, and the feasible
-    points of a row are one run, since y = sqrt(r1 r4) is concave in r1,
-    so gamma is, and gamma >= 0 holds on one interval.
+    A state's window is grid indices 0 to floor((end - lo) / step) + 1, the
+    first point past end (for the rounding of end and of gamma), and the
+    reduction is valued there only, one _t3_equation call per (2, B, W)
+    block. No bracket is lost: f is nan where gamma = 16 d sqrt(r1 r4)
+    - k r1 + gamma0 < 0 (k = r1_slope), which is past end. gamma is concave,
+    as sqrt(r1 r4) is, and at r1 = a1 it is 16 sqrt(a1 a4)(d - sqrt(a1 a4))
+    + (a2 - a3)^2 > 0 on an entangled state, so its feasible r1 are a
+    prefix of the row, up to its one root above a1. Squared, the root
+    solves (k^2 - 256 d^2) r1^2 - 2 (k gamma0 - 128 d^2 (a1 - a4)) r1
+    + gamma0^2 = 0 with k r1 >= gamma0, and is its larger root: the other
+    has k r1 <= gamma0. _t3_table forms it in t = r1 - max(a1 - a4, 0),
+    where no term is negative, so nothing cancels where the roots agree to
+    many digits. r1 r4 = t (t + |a1 - a4|) there. When k^2 <= 256 d^2,
+    which only d inside the coherence slack reaches, gamma never decreases
+    and end = inf.
     """
     n = tol.root_grid_points
     c = _T3Constants(*table)
     spanned = np.flatnonzero((c.hi > c.lo) & (n > 1))
-    probe = np.append(np.arange(0, n - 1, _PROBE_STRIDE), n - 1)
+    span = _T3Constants(*table[:, spanned])
+    last = np.minimum(np.floor((span.end - span.lo) / ((span.hi - span.lo) / (n - 1))) + 1, n - 1)
+    # rows: state and last grid index of each window of two points or more; widest first
+    windows = np.array([spanned[last >= 1], last[last >= 1]], dtype=int)
+    windows = windows[:, np.argsort(-windows[1])]
     signs = np.array([1.0, -1.0])[:, None, None]
     found = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
-
-    def points(states, index):  # the grid points index of states, and their (B, 1) columns
+    while windows.size:  # one pass each
+        width = windows[1, 0] + 1
+        count = max(1, GRID_BLOCK_POINTS // (2 * width))
+        (states, last_index), windows = windows[:, :count], windows[:, count:]
+        # windows are padded with their last point, which makes no cell
+        index = np.minimum(np.arange(width), last_index[:, None])
         s = _T3Constants(*table[:, states, None])
-        return np.where(index == n - 1, s.hi, index * ((s.hi - s.lo) / (n - 1)) + s.lo), s
-
-    per_probe = max(1, GRID_BLOCK_POINTS // len(probe))
-    for block in np.split(spanned, range(per_probe, len(spanned), per_probe)):
-        feasible = _t3_feasible(*points(block, probe))[3]
-        first = probe[np.maximum(feasible.argmax(axis=1) - 1, 0)]
-        last = probe[np.minimum(len(probe) - feasible[:, ::-1].argmax(axis=1), len(probe) - 1)]
-        # rows: state, first and last grid index; widest windows first
-        windows = np.array([block, first, last])[:, np.argsort(first - last)]
-        while windows.size:  # one pass each
-            width = windows[2, 0] - windows[1, 0] + 1
-            count = max(1, GRID_BLOCK_POINTS // (2 * width))
-            (states, first, last), windows = windows[:, :count], windows[:, count:]
-            # windows are padded with their last point, which makes no cell
-            index = np.minimum(first[:, None] + np.arange(width), last[:, None])
-            r1, cols = points(states, index)
-            f = _t3_equation(r1, signs, cols)
-            finite = np.isfinite(f)
-            both = (index[:, 1:] > index[:, :-1]) & finite[..., :-1] & finite[..., 1:]
-            # values at points that make no cell may multiply to inf or 0 * inf
-            with np.errstate(invalid="ignore", over="ignore"):
-                change = both & (f[..., :-1] * f[..., 1:] < 0.0)
-            rows, k, j = np.nonzero(change | (both & (f[..., :-1] == 0.0)))
-            b = np.where(change[rows, k, j], r1[k, j + 1], r1[k, j])
-            found.append((r1[k, j], b, f[rows, k, j], signs[rows, 0, 0], states[k]))
+        r1 = np.where(index == n - 1, s.hi, index * ((s.hi - s.lo) / (n - 1)) + s.lo)
+        f = _t3_equation(r1, signs, s)
+        finite = np.isfinite(f)
+        both = (index[:, 1:] > index[:, :-1]) & finite[..., :-1] & finite[..., 1:]
+        # values at points that make no cell may multiply to inf or 0 * inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            change = both & (f[..., :-1] * f[..., 1:] < 0.0)
+        rows, k, j = np.nonzero(change | (both & (f[..., :-1] == 0.0)))
+        b = np.where(change[rows, k, j], r1[k, j + 1], r1[k, j])
+        found.append((r1[k, j], b, f[rows, k, j], signs[rows, 0, 0], states[k]))
     a, b, fa, sign, owner = (np.concatenate(parts) for parts in zip(*found))
     # sign-major within a pass; r1 stays ascending per state and sign
     order = np.argsort(2 * owner + (sign < 0.0), kind="stable")
@@ -556,7 +553,7 @@ def _t3_result(
     for r1, r2, r3, r4, y in kept:
         css = css_solution(r1, r2, r3, r4, y, p.phi, _multiplier(r1, r4, p.a1))
         scored = _scored(p, css, BRANCH_THEOREM3, tol)
-        if scored.branch == BRANCH_FAILURE or scored.residual_max > tol.residual_validation:
+        if scored.branch == BRANCH_FAILURE or not scored.residual_max <= tol.residual_validation:
             continue
         accepted.append(scored)
     if not accepted:  # so every bracket was rejected
@@ -605,10 +602,11 @@ def solve_theorem3(p: XStateParams, tol: Tolerances | None = None) -> ReeResult:
     """General branch: bracketing grid plus bisection on the reduction.
 
     Both quadratic sign branches for (r2, r3) are scanned over the feasible
-    interval r1 in (a1, (1 + a1 - a4)/2). Every bisected root is validated
-    against the full five coupled equations and PSD; when several roots
-    survive, the one with the smallest REE wins. No surviving root means
-    no root was found on the grid, and the result is ansatz_failure.
+    r1 in (a1, (1 + a1 - a4)/2), whose end is in closed form (_t3_grid).
+    Every bisected root is validated against the full five coupled
+    equations and PSD; when several roots survive, the one with the
+    smallest REE wins. No surviving root means no root was found on the
+    grid, and the result is ansatz_failure.
     """
     if (branch := _branch_of(p)) != BRANCH_THEOREM3:
         raise WrongBranchError(f"theorem3 does not apply: {p!r} is {branch}")
@@ -640,10 +638,11 @@ def compute_ree_many(params, tol: Tolerances | None = None) -> list[ReeResult]:
     to ansatz_failure with diagnostics.
 
     The states run CHUNK at a time: the chunk's Theorem 3 states fill one
-    _t3_table, their root grids are valued on windows only (_t3_grid), all
-    their brackets are bisected in one _bisect_t3 call, and the chunk's
-    validation makes one stacked hermitian_eig call. A result
-    does not depend on the other states in the list.
+    _t3_table, their root grids are valued up to the end of each state's
+    feasible r1 (_t3_grid), all their brackets are bisected in one
+    _bisect_t3 call, and the chunk's validation makes one stacked
+    hermitian_eig call. A result does not depend on the other states in
+    the list.
     """
     tol = tol or default_tolerances()
     params = list(params)
@@ -705,7 +704,7 @@ def _validated(
             slot = len(transposed)
             transposed.append(p)
         elif result.branch != BRANCH_FAILURE:
-            if result.residual_max > tol.residual_validation:
+            if not result.residual_max <= tol.residual_validation:  # a nan residual fails
                 problems.append(f"coupled-equation residual {result.residual_max!r}")
             css = result.css
             if abs(css.y - math.sqrt(css.r1 * css.r4)) > tol.y_edge:

@@ -162,9 +162,9 @@ def test_scan_polishes_each_chunk_together(monkeypatch, capsys):
     branches = [row.split(",")[5] for row in capsys.readouterr().out.split("\n")[1:-1]]
     assert len(branches) == 400
     tol = default_tolerances()
-    # the line's windows share 24 passes (tests/test_root_grid.py)
+    # the line's windows share 22 passes (tests/test_root_grid.py)
     passes = sum(r1.ndim == 2 for r1 in seen)
-    assert passes == 24
+    assert passes == 22
     # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
     levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
     assert len(seen) <= passes + levels * math.ceil(400 / CHUNK)

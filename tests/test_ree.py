@@ -222,6 +222,14 @@ class TestTheorem1:
         ]
         assert repr(batch) == repr([compute_ree(p) for p in states])
 
+    def test_nan_residual_fails_validation(self):
+        # a subnormal a3 with d inside the coherence slack gives the
+        # multiplier x = inf, so a residual is nan, which no bound passes
+        result = compute_ree(x_state(3.2e-314, 5e-324, 0.99999999999901, 9.9e-13, 1e-06))
+        assert result.branch == BRANCH_FAILURE and result.ree is None
+        assert math.isnan(result.residual_max)
+        assert "coupled-equation residual nan" in result.diagnostics
+
 
 def theorem2_edge_states(rng, count):
     """Seeded theorem2 states at the edges of the closed form.

@@ -1,11 +1,11 @@
 """The Theorem 3 root grid: many states per array pass, feasible windows only.
 
-`ree._t3_grid` finds each state's window of its r1 grid by a strided probe
-of feasibility in r1 alone, values the reduction on the windows of several
-states in one pass, and reads the brackets off neighbouring points. Every
-bracket must be the one a state's own full (2, G) grid gives, bit for bit
-and in the same order, and a pass must stay bounded by reduction points,
-not by the number of states.
+`ree._t3_grid` ends each state's window of its r1 grid at the closed-form
+end of its feasible r1 (the `end` column of `ree._t3_table`), values the
+reduction on the windows of several states in one pass, and reads the
+brackets off neighbouring points. Every bracket must be the one a state's
+own full (2, G) grid gives, bit for bit and in the same order, and a pass
+must stay bounded by reduction points, not by the number of states.
 """
 
 import math
@@ -26,7 +26,8 @@ from conftest import random_entangled_params, random_separable_params
 
 # a1 + a4 = 1 leaves no r1 interval: hi = 0.5 < lo = 0.5 + 1e-12
 EMPTY_SPAN = XStateParams(0.5, 0.0, 0.0, 0.5, 0.0)
-# with a2 = a3 and d = 0, gamma = -16 a1 a4 - 16 (2 a1 + a2 + a3 + 2 a4)(r1 - a1) < 0
+# with a2 = a3 and d = 0, gamma = -16 a1 a4 - 16 (2 a1 + a2 + a3 + 2 a4)(r1 - a1) < 0,
+# so its end lies below a1
 NO_FEASIBLE_POINT = XStateParams(0.2, 0.3, 0.3, 0.2, 0.0)
 
 
@@ -111,11 +112,13 @@ def grid_tolerances(points):
 @pytest.mark.parametrize("points", [37, 200, 2000])
 def test_block_grid_equals_each_state_alone(points, monkeypatch):
     tol = grid_tolerances(points)
-    # the states a pass of whole-row windows holds; narrower windows fit more
-    per_pass = max(1, GRID_BLOCK_POINTS // (2 * points))
+    passes = recorded_passes(monkeypatch)
+    block_brackets(theorem3_states(points, 1), tol)
+    # the states a pass of windows as wide as the first state's holds; the
+    # first pass holds no more, as it takes the widest window
+    per_pass = max(1, GRID_BLOCK_POINTS // (2 * passes.pop()[1]))
     states = theorem3_states(points, 2 * per_pass + 1) + [EMPTY_SPAN, NO_FEASIBLE_POINT]
     states = [states[i] for i in np.random.default_rng(points).permutation(len(states))]
-    passes = recorded_passes(monkeypatch)
     got = block_brackets(states, tol)
     # full window passes, then one partial pass
     assert len(passes) >= 2 and full(passes) == [True] * (len(passes) - 1) + [False]
@@ -128,8 +131,9 @@ def test_the_special_states_have_no_brackets():
     c = constants(EMPTY_SPAN)
     assert c.hi[0] <= c.lo[0]
     c = constants(NO_FEASIBLE_POINT)
+    assert c.end[0] < c.lo[0]
     grid = np.linspace(c.lo[0], c.hi[0], tol.root_grid_points)
-    assert not ree_module._t3_feasible(grid, c)[3].any()
+    assert np.isnan(ree_module._t3_equation(grid, np.array([[1.0], [-1.0]]), c)).all()
     for p in (EMPTY_SPAN, NO_FEASIBLE_POINT):
         assert [len(v) for v in block_brackets([p], tol)] == [0] * 5
 
@@ -160,13 +164,12 @@ def test_zero_on_a_grid_point_and_nan_next_to_finite_values(monkeypatch):
 
 
 def test_cells_stay_inside_one_grid_row(monkeypatch):
-    # with d far above sqrt(a2 a3), r1 alone is feasible on the whole grid,
-    # so the last point of one state's row is next to the first of the next
+    # with d far above sqrt(a2 a3), k^2 < 256 d^2 puts end at inf, so the
+    # window is the whole row, and the last point of one state's row is
+    # next to the first of the next
     state = XStateParams(0.1, 0.4, 0.4, 0.1, 5.0)
     tol = grid_tolerances(200)
-    c = constants(state)
-    grid = np.linspace(c.lo[0], c.hi[0], tol.root_grid_points)
-    assert ree_module._t3_feasible(grid, c)[3].all()
+    assert constants(state).end[0] == math.inf
 
     def reduction(r1, sign, p):
         return np.broadcast_to(r1 - 0.3, np.broadcast_shapes(np.shape(r1), np.shape(sign)))
@@ -250,10 +253,10 @@ def test_scan_values_each_grid_block_in_one_call(monkeypatch, capsys):
     tol = default_tolerances()
     passes = [shape for shape in seen if len(shape) == 2]  # (states, window width)
     # a pass of several states holds at most GRID_BLOCK_POINTS reduction
-    # points, both signs counted; the line's windows are 401 to 465 points
-    # wide, so 17 to 19 states share a full pass and the line takes 24
+    # points, both signs counted; the line's windows are 389 to 458 points
+    # wide, so 17 to 20 states share a full pass and the line takes 22
     assert all(2 * states * width <= GRID_BLOCK_POINTS for states, width in passes)
-    assert len(passes) == 24 and max(states for states, _ in passes) >= 17
+    assert len(passes) == 22 and max(states for states, _ in passes) >= 17
     # the halvings that take a cell of the widest r1 grid, 0.5 long, to tol
     levels = math.ceil(math.log2(0.5 / (tol.root_grid_points - 1) / tol.root_bisect_tol))
     assert len(seen) - len(passes) <= levels * math.ceil(400 / CHUNK)
@@ -265,11 +268,17 @@ def edge_state(family, rng):
 
     near_symmetric: |a2 - a3| from 1e-11 to 1e-3; outer_product: a1 a4 -> 0;
     near_separable: d -> sqrt(a1 a4) from above; near_psd_edge: d ->
-    sqrt(a2 a3) from below.
+    sqrt(a2 a3) from below; slack: d at sqrt(a2 a3 + 1e-12) or 0.9e-12 inside
+    that bound, with |a2 - a3| from 1e-12 to 1e-3 and outer populations at
+    the branch thresholds, where k^2 - 256 d^2 reaches 0.
     """
     while True:
         a = rng.dirichlet(np.ones(4))
-        if family == "near_symmetric":
+        if family == "slack":
+            a[0], a[3] = rng.choice([0.0, 1e-12, 1.01e-12, 1e-9, a[0]], 2)
+            mid, gap = 0.5 * (1.0 - a[0] - a[3]), 10.0 ** rng.uniform(-12, -3)
+            a[1], a[2] = mid + 0.5 * gap, mid - 0.5 * gap
+        elif family == "near_symmetric":
             mid, gap = 0.5 * (a[1] + a[2]), 10.0 ** rng.uniform(-11, -3)
             a[1], a[2] = mid + 0.5 * gap, mid - 0.5 * gap
         elif family == "outer_product":
@@ -280,6 +289,11 @@ def edge_state(family, rng):
         if a2 <= 0.0 or a3 <= 0.0 or high <= low * (1.0 + 1e-9):
             continue
         eps = 10.0 ** rng.uniform(-12, -2)
+        if family == "slack":
+            p = XStateParams(a1, a2, a3, a4, math.sqrt(a2 * a3 + rng.choice([1e-12, 0.9e-12])))
+            if ree_module._branch_of(p) == BRANCH_THEOREM3:
+                return p
+            continue
         if family == "near_separable":
             d = low * (1.0 + eps) if low > 0.0 else high * eps
         elif family == "near_psd_edge":
@@ -290,19 +304,23 @@ def edge_state(family, rng):
             return XStateParams(a1, a2, a3, a4, d)
 
 
-EDGE_FAMILIES = ("near_symmetric", "outer_product", "near_separable", "near_psd_edge")
-# states per edge family at each grid size: 4 * 2935 = 11740 state-grids
-EDGE_STATES = {1: 500, 2: 500, 3: 500, 17: 500, 37: 500, 200: 300, 2000: 120, 20001: 15}
+EDGE_FAMILIES = ("near_symmetric", "outer_product", "near_separable", "near_psd_edge", "slack")
+# states per edge family at each grid size: 5 * 2945 = 14725 state-grids
+EDGE_STATES = {
+    1: 500, 2: 500, 3: 500, 17: 500, 37: 500, 200: 300, 2000: 120, 20001: 15, 200000: 10,
+}
+# a slack state with k^2 = 256 d^2 in doubles, so end = inf
+FLAT_GAMMA = XStateParams(1e-12, 0.5000000000000001, 0.4999999999990001, 0.0, 0.5000000000005)
 
 
 @pytest.mark.parametrize("points", sorted(EDGE_STATES))
 def test_window_brackets_equal_the_full_grid_near_the_edges(points):
-    # windows are found by a strided probe; every state's brackets must
-    # still be those of its own full grid, also where the feasible run is
-    # shorter than the probe's stride
+    # every state's brackets must still be those of its own full grid, also
+    # where the feasible run is a few points long or the whole row
     rng = np.random.default_rng(points)
     tol = grid_tolerances(points)
     states = [edge_state(f, rng) for f in EDGE_FAMILIES for _ in range(EDGE_STATES[points])]
+    states.append(FLAT_GAMMA)
     got = block_brackets(states, tol)
     assert_same_block_brackets(states, got, tol)
     if points >= 17:  # coarser grids find no bracket at all

@@ -5,8 +5,10 @@ threshold-sized populations, a2 - a3 at the branch threshold, and d at,
 just inside and just past sqrt(a1 a4) and sqrt(a2 a3), inside the
 coherence slack. Each one goes in as Python floats and as np.float64
 through x_state, compute_ree_many, a scan row and oracle_validate with
-every warning an error; nothing else may escape. The example count comes
-from the hypothesis profile (HYPOTHESIS_PROFILE=ci, see conftest.py).
+every warning an error; nothing else may escape. An entangled state that
+gets an answer gets a finite REE and a residual within
+residual_validation. The example count comes from the hypothesis profile
+(HYPOTHESIS_PROFILE=ci, see conftest.py).
 """
 
 import math
@@ -16,10 +18,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xree import compute_ree_many, x_state
+from xree import compute_ree_many, default_tolerances, x_state
 from xree.cli import _scan_row
 from xree.errors import XreeError
 from xree.oracle import OracleConfig, oracle_validate
+from xree.ree import BRANCH_FAILURE, BRANCH_SEPARABLE
 
 # zero, subnormal, tiny and around the 1e-12 simplex and branch thresholds
 EDGE_POPULATIONS = (0.0, 5e-324, 3.2e-314, 1e-300, 1e-15, 9.9e-13, 1e-12, 1.01e-12, 1e-9)
@@ -71,6 +74,9 @@ def _run(values) -> None:
     try:
         p = x_state(*values)
         result = compute_ree_many([p])[0]
+        if result.branch not in (BRANCH_SEPARABLE, BRANCH_FAILURE):
+            assert math.isfinite(result.ree), result
+            assert result.residual_max <= default_tolerances().residual_validation, result
         _scan_row(values[:5], result)
         oracle_validate(p, result, ORACLE)
     except XreeError:
