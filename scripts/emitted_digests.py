@@ -19,6 +19,11 @@ It prints one JSON object, each value the sha256 of:
   edges                the repr of compute_ree_many on --draws seeded
                        Theorem 3 states of each of EDGE_FAMILIES, where the
                        feasible part of the root grid is shortest
+  errors               exit code, stdout and stderr of compute --input and
+                       scan --grid on each of INVALID, documents that break
+                       each keyword the two input schemas use
+  errors:deep          the same on DEEP, an array nested past json.load's
+                       recursion limit
 
 Two checkouts are compared by running the script in each: equal digests
 mean equal bytes. It needs no other file of scripts/, so a copy of it runs
@@ -35,6 +40,7 @@ import json
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +65,46 @@ STATES = {
 DRAW_SEED = 30
 EDGE_SEED = 33
 EDGE_FAMILIES = ("near_symmetric", "outer_product", "near_ppt", "near_psd_edge", "slack")
+PARAMS = {"A1": 0.1, "A2": 0.4, "A3": 0.3, "A4": 0.2, "D": 0.3}
+AXES = {name: 0.1 for name in ("a1", "a2", "a3", "a4", "d")}
+LINE = {"mode": "line", "family": "theorem3_example", "from": [0.5] * 5, "to": [0.5] * 5, "count": 3}
+SIMPLEX = {"mode": "simplex", "p": 0.66, "split": 0.4, "steps": 25}
+# invalid input documents, each read as a state and as a grid: one or more
+# per keyword of the two input schemas; the four grids of
+# tests/test_grids.py::test_schema_error_names_the_bad_field; and last one
+# with three errors, of which the one reported is the first by path
+INVALID = [
+    [PARAMS],  # type
+    {"params": 0.1},
+    {},  # minProperties
+    {"params": PARAMS, "family": {"name": "vp"}},  # maxProperties
+    {"params": {**PARAMS, "x": 1}},  # additionalProperties
+    {"params": {"A1": 0.1}},  # required
+    {"params": {**PARAMS, "A1": True}},  # properties
+    {"family": {"name": "bogus"}},  # enum
+    {"family": {"name": 1}},
+    {"family": {"name": "vp", "weights": [0.5, "0.3"]}},  # items
+    {"matrix": [[[0.25, 0.0]] * 4] * 3},  # minItems
+    {"matrix": [[[0.25, 0.0]] * 4] * 5},  # maxItems
+    {"matrix": [[[0.25, 0.0, 0.0]] * 4] * 4},
+    {"mode": "line", "count": 5},  # allOf, if, then
+    {**LINE, "family": "vp"},  # const
+    {**LINE, "x": 1, "y": 2},
+    {**LINE, "count": 1.5},
+    {**LINE, "count": 1},  # minimum
+    {**SIMPLEX, "p": -0.5},
+    {**SIMPLEX, "p": True},
+    {"mode": "raw", "axes": {**AXES, "a1": None}},  # $ref, oneOf
+    {"mode": "raw", "axes": {**AXES, "a1": []}},
+    {"mode": "raw", "axes": {**AXES, "a1": {"start": 0.0, "stop": 1.0}}},
+    {"mode": "theorem3_example", "axes": {"p": 0.66, "q1": 0.1, "q2": 0.1, "q3": 0.1}},
+    {**SIMPLEX, "split": 1.5},  # maximum
+    {"mode": "raw", "axes": {**AXES, "a1": {"start": 0.0, "stop": 1.0, "count": 0}}},
+    {"mode": "bogus"},
+    {**LINE, "to": [0.5] * 4},
+    {"mode": "simplex", "p": 2, "split": 1.5, "steps": 0},
+]
+DEEP = "[" * 5000 + "]" * 5000
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -67,6 +113,21 @@ def run(*argv: str) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def errors_digest(texts) -> str:
+    """The digest of what compute --input and scan --grid emit on each of texts."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            for argv in (("compute", "--input"), ("scan", "--grid")):
+                try:
+                    runs.append(run(*argv, str(path)))
+                except RecursionError as exc:  # recorded, so that every checkout runs
+                    runs.append(("uncaught", repr(exc)))
+    return digest(*runs)
 
 
 def without_elapsed(text: str) -> str:
@@ -170,6 +231,8 @@ def main() -> int:
     rng = random.Random(EDGE_SEED)
     edges = [edge_draw(rng, family) for family in EDGE_FAMILIES for _ in range(args.draws)]
     out["edges"] = digest(ree.compute_ree_many(edges))
+    out["errors"] = errors_digest(json.dumps(doc) for doc in INVALID)
+    out["errors:deep"] = errors_digest([DEEP])
     print(json.dumps(out))
     return 0
 

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 invalid input (usage errors included, and a failed
 selftest check), 2 ansatz failure (compute only).
 All REE values are emitted in nats; --bits adds a display conversion.
-Input documents are JSON validated against the schema files shipped
-under xree/schemas; output documents are JSON that the tests check
-against the output schemas there. scan output is CSV with a fixed header.
+Input documents are JSON validated against the schemas under xree/schemas, reporting
+the first error by path as jsonschema (the tests' reference) words it; output documents
+are JSON the tests check against the output schemas. scan output is CSV with a fixed header.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ def _schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _unchecked(what: str):
-    raise LookupError(f"{what} is not checked here")
-
-
-def _same(value, x) -> bool:  # jsonschema compares a string to anything with ==
-    return x == value if isinstance(value, str) else _unchecked(f"value {value!r}")
-
-
 def _number(x) -> bool:  # a bool is not a number to jsonschema
     return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
@@ -77,73 +69,80 @@ _TYPES = {
     "integer": lambda x: _number(x)
     and (isinstance(x, int) or isinstance(x, float) and x.is_integer()),
 }
-# keyword -> test(value, instance, schema, root); "then" is read by "if"
-_KEYWORDS = {
-    "type": lambda v, x, s, r: _TYPES[v](x),
-    "enum": lambda v, x, s, r: any(_same(e, x) for e in v),
-    "const": lambda v, x, s, r: _same(v, x),
-    "required": lambda v, x, s, r: not isinstance(x, dict) or all(k in x for k in v),
-    "properties": lambda v, x, s, r: not isinstance(x, dict)
-    or all(_conforms(x[k], sub, r) for k, sub in v.items() if k in x),
-    "additionalProperties": lambda v, x, s, r: (
-        not isinstance(x, dict) or all(k in s.get("properties", {}) for k in x)
-    ) if v is False and "patternProperties" not in s else _unchecked("additionalProperties"),
-    "minProperties": lambda v, x, s, r: not isinstance(x, dict) or not len(x) < v,
-    "maxProperties": lambda v, x, s, r: not isinstance(x, dict) or not len(x) > v,
-    "items": lambda v, x, s, r: not isinstance(x, list) or all(_conforms(i, v, r) for i in x),
-    "minItems": lambda v, x, s, r: not isinstance(x, list) or not len(x) < v,
-    "maxItems": lambda v, x, s, r: not isinstance(x, list) or not len(x) > v,
-    "minimum": lambda v, x, s, r: not _number(x) or not x < v,
-    "maximum": lambda v, x, s, r: not _number(x) or not x > v,
-    "allOf": lambda v, x, s, r: all(_conforms(x, sub, r) for sub in v),
-    "oneOf": lambda v, x, s, r: sum(_conforms(x, sub, r) for sub in v) == 1,
-    "if": lambda v, x, s, r: not _conforms(x, v, r) or _conforms(x, s["then"], r),
-    "then": lambda v, x, s, r: True,
+# keyword -> the words of its error for (value, instance), or a false value where it holds
+_LEAVES = {
+    "type": lambda v, x: not _TYPES[v](x) and f"{x!r} is not of type {v!r}",
+    "enum": lambda v, x: x not in v and f"{x!r} is not one of {v!r}",
+    "const": lambda v, x: x != v and f"{v!r} was expected",
+    "minimum": lambda v, x: _number(x) and x < v and f"{x!r} is less than the minimum of {v!r}",
+    "maximum": lambda v, x: _number(x) and x > v and f"{x!r} is greater than the maximum of {v!r}",
+    "minProperties": lambda v, x: isinstance(x, dict) and len(x) < v
+    and f"{x!r} " + ("should be non-empty" if v == 1 else "does not have enough properties"),
+    "maxProperties": lambda v, x: isinstance(x, dict) and len(x) > v
+    and f"{x!r} " + ("is expected to be empty" if v == 0 else "has too many properties"),
+    "minItems": lambda v, x: isinstance(x, list) and len(x) < v
+    and f"{x!r} " + ("should be non-empty" if v == 1 else "is too short"),
+    "maxItems": lambda v, x: isinstance(x, list) and len(x) > v
+    and f"{x!r} " + ("is expected to be empty" if v == 0 else "is too long"),
 }
-_ANNOTATIONS = ("$schema", "title", "description", "definitions")
+_ANNOTATIONS = ("$schema", "title", "description", "definitions", "then")  # "if" reads "then"
 
 
-def _conforms(x, schema, root: dict) -> bool:
-    """Draft-7 validity of `x` under the keywords the shipped input schemas use.
-
-    Exact where it answers, so `oneOf` and `if` can trust a False. A keyword
-    or form it does not check raises LookupError, and jsonschema decides.
+def _errors(x, schema, root: dict, path: tuple = ()):
+    """(path, message) for each Draft-7 error of `x`, as jsonschema's iter_errors yields them,
+    for the keywords of the shipped input schemas; any other keyword or form raises LookupError.
     """
     if not isinstance(schema, dict):
-        _unchecked(f"schema {schema!r}")
-    ref = schema.get("$ref")
-    if ref is not None:  # Draft 7 ignores the siblings of $ref
-        if not (isinstance(ref, str) and ref.startswith("#/")):
-            _unchecked(f"$ref {ref!r}")
-        target = root
-        for part in ref[2:].split("/"):
-            target = target[part]
-        return _conforms(x, target, root)
-    return all(
-        k in _ANNOTATIONS or _KEYWORDS[k](v, x, schema, root) for k, v in schema.items()
-    )
-
-
-def _accepts(doc, schema: dict) -> bool:
-    """True only for a document jsonschema accepts; False also when unsure."""
-    try:
-        return _conforms(doc, schema, schema)
-    except (LookupError, TypeError):
-        return False
+        raise LookupError(f"schema {schema!r} is not checked here")
+    members = x if isinstance(x, dict) else {}
+    # Draft 7 ignores the siblings of $ref
+    for key, v in [("$ref", schema["$ref"])] if "$ref" in schema else schema.items():
+        # jsonschema compares only a string by ==: other type/enum/const values reach the raise
+        strings = v if key == "enum" else [v] if key in ("type", "const") else []
+        if key in _LEAVES and all(isinstance(s, str) for s in strings):
+            if words := _LEAVES[key](v, x):
+                yield path, words
+        elif key == "required":
+            missing = [k for k in v if k not in x] if isinstance(x, dict) else []
+            yield from ((path, f"{k!r} is a required property") for k in missing)
+        elif key == "properties":
+            for k in [k for k in v if k in members]:
+                yield from _errors(x[k], v[k], root, (*path, k))
+        elif key == "additionalProperties" and v is False:
+            if extras := sorted(k for k in members if k not in schema.get("properties", {})):
+                names = ", ".join(repr(k) for k in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "items":
+            for i, item in enumerate(x if isinstance(x, list) else []):
+                yield from _errors(item, v, root, (*path, i))
+        elif key == "allOf":
+            for sub in v:
+                yield from _errors(x, sub, root, path)
+        elif key == "oneOf":
+            valid = [sub for sub in v if not any(_errors(x, sub, root, path))]
+            if not valid:
+                yield path, f"{x!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:  # jsonschema names the first valid one last
+                reprs = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+                yield path, f"{x!r} is valid under each of {reprs}"
+        elif key == "if":
+            if not any(_errors(x, v, root, path)) and "then" in schema:
+                yield from _errors(x, schema["then"], root, path)
+        elif key == "$ref" and isinstance(v, str) and v.startswith("#/definitions/"):
+            target = root["definitions"][v.removeprefix("#/definitions/")]
+            yield from _errors(x, target, root, path)
+        elif key not in _ANNOTATIONS:
+            raise LookupError(f"{key} {v!r} is not checked here")
 
 
 def _validate_document(doc, schema_name: str) -> None:
+    """Raise InvalidStateError for the first error by path, the one jsonschema sorts first."""
     schema = _schema(schema_name)
-    if _accepts(doc, schema):
-        return
-    import jsonschema  # valid documents never get here; it words the error
-
-    validator = jsonschema.Draft7Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        field = "/".join(str(x) for x in err.absolute_path) or "(document root)"
-        raise InvalidStateError(f"field {field}: {err.message}")
+    first = min(_errors(doc, schema, schema), key=lambda error: error[0], default=None)
+    if first is not None:
+        field = "/".join(str(x) for x in first[0]) or "(document root)"
+        raise InvalidStateError(f"field {field}: {first[1]}")
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -224,7 +223,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidStateError(f"{what} document is not valid JSON: {exc}") from exc
 
 

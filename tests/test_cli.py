@@ -1,6 +1,7 @@
 """CLI contract: exit codes, schemas, determinism, scan behavior."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xree.cli as cli
-from xree.cli import EXIT_ANSATZ_FAILURE, EXIT_INVALID, EXIT_OK, main, _accepts, _schema
+from xree.cli import EXIT_ANSATZ_FAILURE, EXIT_INVALID, EXIT_OK, main, _errors, _schema
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +217,20 @@ class TestOracleCommand:
         doc = json.loads(out)
         validate_output(doc, "oracle_output.schema.json")
         assert doc["closed"]["branch"] == "separable"
+
+    def test_default_flags_equal_the_default_config(self):
+        # xreebench runs OracleConfig() as the CLI's defaults; the flags keep
+        # their own literals, so a cold CLI process does not import xree.oracle
+        from xree.oracle import OracleConfig
+
+        args = cli.build_parser().parse_args(["oracle", "--params", "0.1,0.4,0.3,0.2,0.3"])
+        flags = {
+            "num_product_terms": args.terms,
+            "restarts": args.restarts,
+            "max_iterations": args.iterations,
+            "rng_seed": args.seed,
+        }
+        assert flags == dataclasses.asdict(OracleConfig())
 
     def test_bell_close_to_ln2(self, capsys):
         code, out, _ = run_cli(
@@ -486,6 +501,18 @@ class TestUnreadablePaths:
         self.assert_one_error_line(code, err)
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, what", [("compute", "--input", "input"), ("scan", "--grid", "grid")]
+    )
+    def test_too_deeply_nested_document(self, tmp_path, capsys, command, flag, what):
+        # json.load recurses once per level and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert out == ""
+        self.assert_one_error_line(code, err)
+        assert err.startswith(f"error: {what} document is not valid JSON")
+
     def test_tolerance_override_directory(self, tmp_path, monkeypatch, capsys):
         import xree.config as config
 
@@ -649,6 +676,12 @@ def mutate(data, doc):
         parent[key] = data.draw(VALUES)
 
 
+# the Draft-7 keywords _errors checks, annotations included
+CHECKED_KEYWORDS = {
+    "$ref", "type", "enum", "const", "required", "properties", "additionalProperties",
+    "minProperties", "maxProperties", "items", "minItems", "maxItems", "minimum", "maximum",
+    "allOf", "oneOf", "if", "then", "$schema", "title", "description", "definitions",
+}
 SUBSCHEMAS = {
     "properties": dict.values,
     "definitions": dict.values,
@@ -678,8 +711,28 @@ def with_edit(doc, path, value):
     return doc
 
 
+def accepts(doc, schema) -> bool:
+    return not any(_errors(doc, schema, schema))
+
+
+def reported(doc, name: str):
+    """The error line _validate_document reports on `doc`, or None."""
+    try:
+        cli._validate_document(doc, name)
+    except cli.InvalidStateError as exc:
+        return str(exc)
+    return None
+
+
+def jsonschema_errors(doc, schema) -> list:
+    return [
+        (tuple(e.absolute_path), e.message)
+        for e in jsonschema.Draft7Validator(schema).iter_errors(doc)
+    ]
+
+
 class TestSchemaFastCheck:
-    """`_accepts` answers for jsonschema on every valid document, and never wrongly."""
+    """`_errors` decides and words every document as jsonschema's Draft7Validator does."""
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
@@ -689,10 +742,16 @@ class TestSchemaFastCheck:
         for _ in range(data.draw(st.integers(1, 3))):
             mutate(data, doc)
         for name, schema in SCHEMAS.items():
-            valid = jsonschema.Draft7Validator(schema).is_valid(doc)
-            fast = _accepts(doc, schema)
-            assert valid or not fast, f"accepted a document jsonschema rejects under {name}"
-            assert fast or not valid, f"sent a valid document to jsonschema under {name}"
+            errors = sorted(
+                jsonschema.Draft7Validator(schema).iter_errors(doc),
+                key=lambda e: list(e.absolute_path),
+            )
+            assert accepts(doc, schema) == (not errors), f"another verdict under {name}"
+            want = None
+            if errors:
+                field = "/".join(str(x) for x in errors[0].absolute_path) or "(document root)"
+                want = f"field {field}: {errors[0].message}"
+            assert reported(doc, name) == want
 
     @pytest.mark.parametrize(
         "name, doc, valid",
@@ -730,7 +789,8 @@ class TestSchemaFastCheck:
     def test_type_edges_match_jsonschema(self, name, doc, valid):
         schema = _schema(name)
         assert jsonschema.Draft7Validator(schema).is_valid(doc) is valid
-        assert _accepts(doc, schema) is valid
+        assert accepts(doc, schema) is valid
+        assert list(_errors(doc, schema, schema)) == jsonschema_errors(doc, schema)
 
     @pytest.mark.parametrize(
         "schema, doc, valid",
@@ -750,18 +810,111 @@ class TestSchemaFastCheck:
     )
     def test_keyword_semantics_match_jsonschema(self, schema, doc, valid):
         assert jsonschema.Draft7Validator(schema).is_valid(doc) is valid
-        assert _accepts(doc, schema) is valid
+        assert accepts(doc, schema) is valid
+        assert list(_errors(doc, schema, schema)) == jsonschema_errors(doc, schema)
+
+    @pytest.mark.parametrize(
+        "name, doc, line",
+        [
+            pytest.param(
+                GRID, with_edit(SIMPLEX, ["p"], True), "p: True is not of type 'number'", id="type"
+            ),
+            pytest.param(
+                GRID,
+                {"mode": "bogus"},
+                "mode: 'bogus' is not one of ['theorem3_example', 'raw', 'line', 'simplex']",
+                id="enum",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(LINE, ["family"], "x"),
+                "family: 'theorem3_example' was expected",
+                id="const",
+            ),
+            pytest.param(
+                STATE, {"params": {"A1": 0.1}}, "params: 'A2' is a required property", id="required"
+            ),
+            pytest.param(
+                STATE,
+                with_edit(PARAMS, ["params", "x"], 0),
+                "params: Additional properties are not allowed ('x' was unexpected)",
+                id="additional-properties",
+            ),
+            pytest.param(
+                GRID,
+                {**LINE, "y": 1, "x": 2},
+                "(document root): Additional properties are not allowed ('x', 'y' were unexpected)",
+                id="additional-properties-two",
+            ),
+            pytest.param(STATE, {}, "(document root): {} should be non-empty", id="min-properties"),
+            pytest.param(
+                STATE,
+                {"params": 1, "bloch": 2},
+                "(document root): {'params': 1, 'bloch': 2} has too many properties",
+                id="max-properties",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(LINE, ["from", 2], "0.5"),
+                "from/2: '0.5' is not of type 'number'",
+                id="items",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(LINE, ["to"], [0.5] * 4),
+                "to: [0.5, 0.5, 0.5, 0.5] is too short",
+                id="min-items",
+            ),
+            pytest.param(
+                STATE,
+                {"matrix": [[], [], [], [], []]},
+                "matrix: [[], [], [], [], []] is too long",
+                id="max-items",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(SIMPLEX, ["steps"], 0),
+                "steps: 0 is less than the minimum of 1",
+                id="minimum",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(SIMPLEX, ["split"], 1.5),
+                "split: 1.5 is greater than the maximum of 1",
+                id="maximum",
+            ),
+            pytest.param(
+                GRID,
+                with_edit(RAW, ["axes", "a1"], []),
+                "axes/a1: [] is not valid under any of the given schemas",
+                id="one-of-ref",
+            ),
+            pytest.param(
+                GRID,
+                {"mode": "line"},
+                "(document root): 'family' is a required property",
+                id="all-of-if-then",
+            ),
+            pytest.param(
+                GRID,
+                {"mode": "simplex", "p": 2, "split": 1.5, "steps": 0},
+                "p: 2 is greater than the maximum of 1",
+                id="first-of-three-by-path",
+            ),
+        ],
+    )
+    def test_each_keyword_words_its_error(self, name, doc, line):
+        assert reported(doc, name) == f"field {line}"
 
     @pytest.mark.parametrize("name", [GRID, STATE])
     def test_shipped_schemas_use_only_checked_keywords(self, name):
         used = list(schema_keywords(_schema(name)))
-        checked = {"$ref", *cli._KEYWORDS, *cli._ANNOTATIONS}
-        assert {key for key, _ in used} - checked == set()
-        # _same checks string values only
+        assert {key for key, _ in used} - CHECKED_KEYWORDS == set()
+        # _errors compares string values only
         values = [v for key, v in used if key == "const"]
         values += [v for key, vs in used if key == "enum" for v in vs]
         assert values and all(isinstance(v, str) for v in values)
-        assert all(_accepts(doc, SCHEMAS[name]) for kind, doc in SEED_DOCUMENTS if kind == name)
+        assert all(accepts(doc, SCHEMAS[name]) for kind, doc in SEED_DOCUMENTS if kind == name)
 
     @pytest.mark.parametrize(
         "keyword, value",
@@ -775,35 +928,40 @@ class TestSchemaFastCheck:
             ("type", ["string", "null"]),
         ],
     )
-    def test_unchecked_keyword_leaves_the_verdict_to_jsonschema(self, keyword, value):
+    def test_unchecked_keyword_raises(self, keyword, value):
         schema = _schema(STATE)
         schema["properties"]["family"]["properties"]["name"][keyword] = value
         doc = {"family": {"name": "rains"}}
         assert jsonschema.Draft7Validator(schema).is_valid(doc)
-        assert not _accepts(doc, schema)
+        with pytest.raises(LookupError):
+            list(_errors(doc, schema, schema))
 
     @pytest.mark.parametrize(
         "schema, doc",
         [
             pytest.param({"items": True}, [1], id="boolean-subschema"),
             pytest.param({"properties": {"a": {"$ref": "#"}}}, {"a": {}}, id="ref-to-root"),
+            pytest.param({"enum": ["a", 1]}, "a", id="enum-number"),
+            pytest.param({"const": None}, None, id="const-null"),
         ],
     )
-    def test_unchecked_form_leaves_the_verdict_to_jsonschema(self, schema, doc):
+    def test_unchecked_form_raises(self, schema, doc):
         assert jsonschema.Draft7Validator(schema).is_valid(doc)
-        assert not _accepts(doc, schema)
+        with pytest.raises(LookupError):
+            list(_errors(doc, schema, schema))
 
-    def test_unchecked_keyword_inside_if_leaves_the_verdict_to_jsonschema(self):
+    def test_unchecked_keyword_inside_if_raises(self):
         schema = _schema(GRID)
         schema["allOf"][0]["if"]["properties"]["mode"]["pattern"] = "^t"
         assert jsonschema.Draft7Validator(schema).is_valid(EXAMPLE)
-        assert not _accepts(EXAMPLE, schema)
-        assert _accepts(LINE, schema)  # the failed const decides alone
+        with pytest.raises(LookupError):
+            list(_errors(EXAMPLE, schema, schema))
+        assert accepts(LINE, schema)  # the failed const decides alone
 
-    def test_jsonschema_decides_where_the_check_is_unsure(self, monkeypatch):
+    def test_validate_document_raises_on_an_unchecked_keyword(self, monkeypatch):
         schema = _schema(STATE)
         schema["properties"]["family"]["properties"]["name"]["pattern"] = "^r"
         monkeypatch.setattr(cli, "_schema", lambda name: schema)
-        cli._validate_document({"family": {"name": "rains"}}, STATE)
-        with pytest.raises(cli.InvalidStateError, match="^field family/name: 'vp' does not match"):
-            cli._validate_document({"family": {"name": "vp"}}, STATE)
+        for name in ("rains", "vp"):
+            with pytest.raises(LookupError):
+                cli._validate_document({"family": {"name": name}}, STATE)

@@ -69,10 +69,41 @@ grid = call("scan", "--grid", {str(grid)!r})
 print(json.dumps({{"state": state, "grid": grid, "loaded": loaded()}}))
 """
     )
-    assert got["loaded"] == ["jsonschema"]
+    assert got["loaded"] == []
     for code, err in (got["state"], got["grid"]):
         assert code == 1
         assert err.startswith("error: field")
+
+
+def test_xree_runs_without_jsonschema(tmp_path):
+    # jsonschema is the tests' reference for the document check, not a dependency
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps({"params": {"A1": 0.1, "A2": 0.4, "A3": 0.3, "A4": 0.2, "D": 0.3}}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"params": {"A1": 0.1}}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"mode": "simplex", "p": 0.5, "split": 1.5, "steps": 3}))
+    line = os.path.join(os.path.dirname(SRC), "grids", "baseline_line.json")
+    got = run_fresh(
+        'import sys\nsys.modules["jsonschema"] = None\n'
+        + PRELUDE
+        + f"""
+print(json.dumps([
+    call("compute", "--params", "0.1,0.4,0.3,0.2,0.3"),
+    call("compute", "--input", {str(valid)!r}),
+    call("scan", "--grid", {line!r}),
+    call("compute", "--input", {str(state)!r}),
+    call("scan", "--grid", {str(grid)!r}),
+]))
+"""
+    )
+    assert got == [
+        [0, ""],
+        [0, ""],
+        [0, ""],
+        [1, "error: field params: 'A2' is a required property\n"],
+        [1, "error: field split: 1.5 is greater than the maximum of 1\n"],
+    ]
 
 
 def test_valid_documents_load_without_jsonschema(tmp_path):
